@@ -8,9 +8,9 @@
 //!    victim's gap, SNAP once compaction has advanced the horizon past
 //!    it (this is where `fig_recovery`'s simulator crossover table moved
 //!    to: same question, answered on real sockets and a real disk);
-//!  - **throughput dip** — live commit throughput while the sync ships,
-//!    with paced shipping (`sync_rate_bytes_per_sec` set) vs the legacy
-//!    single-burst path (rate `0`).
+//!  - **throughput dip** — live commit throughput while the paced,
+//!    ack-gated sync ships (EXPERIMENTS.md §F keeps the record of the
+//!    one-burst path it replaced).
 //!
 //! Writes `BENCH_recovery.json` (schema `zab-recovery-bench/v1`) at the
 //! repo root, or to `$BENCH_OUT`. `--quick` shrinks every axis for CI
@@ -37,7 +37,7 @@ struct Scenario {
     payload: usize,
     /// Log compaction cadence (applied txns); `None` keeps the whole log.
     snapshot_every: Option<u64>,
-    /// Leader sync token bucket; `0` disables pacing (one-burst legacy).
+    /// Leader sync token bucket.
     sync_rate_bytes_per_sec: u64,
     /// Ops committed with all replicas up before the crash.
     baseline_ops: u64,
@@ -519,16 +519,15 @@ fn main() {
         });
     }
 
-    // ── F.2: live-throughput dip, pacing on vs off ────────────────────
+    // ── F.2: live-throughput dip under the paced sync ─────────────────
     // Big payloads and a deep lag make the sync stream heavy enough to
-    // contend with PROPOSE fan-out. Pacing off ships the whole plan in
-    // one burst inside a single leader turn; pacing on ack-gates chunks
-    // against the token bucket, trading catch-up time for a smaller hole
-    // in live throughput. The live load runs at a moderate fixed rate
-    // whose commit byte rate sits below the sync budget — the regime
-    // pacing is for (a saturated loop would grow backlog faster than any
-    // throttled stream could drain it).
-    let rate_on: u64 = 16 << 20;
+    // contend with PROPOSE fan-out; the leader ack-gates chunks against
+    // the token bucket, trading catch-up time for a smaller hole in live
+    // throughput. The live load runs at a moderate fixed rate whose
+    // commit byte rate sits below the sync budget — the regime pacing is
+    // for (a saturated loop would grow backlog faster than any throttled
+    // stream could drain it).
+    let rate: u64 = 16 << 20;
     let target_ops: u64 = 1000;
     println!(
         "\nF.2: live-throughput dip during catch-up (3 servers, {pacing_payload} B ops, \
@@ -543,53 +542,50 @@ fn main() {
         "dip (%)",
         "sync (MB)",
     ]);
-    let mut f2 = Vec::new();
-    for (label, rate) in [("off", 0u64), ("on", rate_on)] {
-        let s = Scenario {
-            n: 3,
-            window: 64,
-            payload: pacing_payload,
-            snapshot_every: None,
-            sync_rate_bytes_per_sec: rate,
-            baseline_ops,
-            lag_ops: pacing_lag,
-            live_catchup: true,
-            target_ops_per_sec: Some(target_ops),
-        };
-        // Median-of-3 by stall: single localhost runs are noisy (host
-        // scheduling moves both the baseline and the worst bucket), so
-        // report the middle trial as the representative row.
-        let mut trials = Vec::new();
-        for t in 0..3 {
-            let scratch = scratch_dir(&format!("f2-{label}-{t}"));
-            trials.push(recovery_run(&s, &scratch));
-            let _ = std::fs::remove_dir_all(&scratch);
-        }
-        trials.sort_by(|a, b| a.max_stall_ms.partial_cmp(&b.max_stall_ms).expect("finite stall"));
-        let r = trials.swap_remove(trials.len() / 2);
-        println!(
-            "| {label} | {} | {} | {} | {} | {} | {} |",
-            fmt_f(r.catchup_ms),
-            fmt_f(r.baseline_ops_s),
-            fmt_f(r.max_stall_ms),
-            fmt_f(r.worst_window_ops_s),
-            fmt_f(r.dip_pct),
-            fmt_f(r.sync_mb)
-        );
-        f2.push(Row {
-            fields: vec![
-                ("pacing", format!("\"{label}\"")),
-                ("rate_bytes_per_sec", rate.to_string()),
-                ("offered_ops_per_sec", target_ops.to_string()),
-                ("catchup_ms", num(r.catchup_ms)),
-                ("baseline_ops_s", num(r.baseline_ops_s)),
-                ("max_stall_ms", num(r.max_stall_ms)),
-                ("worst_window_ops_s", num(r.worst_window_ops_s)),
-                ("dip_pct", num(r.dip_pct)),
-                ("sync_mb", num(r.sync_mb)),
-            ],
-        });
+    let s = Scenario {
+        n: 3,
+        window: 64,
+        payload: pacing_payload,
+        snapshot_every: None,
+        sync_rate_bytes_per_sec: rate,
+        baseline_ops,
+        lag_ops: pacing_lag,
+        live_catchup: true,
+        target_ops_per_sec: Some(target_ops),
+    };
+    // Median-of-3 by stall: single localhost runs are noisy (host
+    // scheduling moves both the baseline and the worst bucket), so
+    // report the middle trial as the representative row.
+    let mut trials = Vec::new();
+    for t in 0..3 {
+        let scratch = scratch_dir(&format!("f2-{t}"));
+        trials.push(recovery_run(&s, &scratch));
+        let _ = std::fs::remove_dir_all(&scratch);
     }
+    trials.sort_by(|a, b| a.max_stall_ms.partial_cmp(&b.max_stall_ms).expect("finite stall"));
+    let r = trials.swap_remove(trials.len() / 2);
+    println!(
+        "| on | {} | {} | {} | {} | {} | {} |",
+        fmt_f(r.catchup_ms),
+        fmt_f(r.baseline_ops_s),
+        fmt_f(r.max_stall_ms),
+        fmt_f(r.worst_window_ops_s),
+        fmt_f(r.dip_pct),
+        fmt_f(r.sync_mb)
+    );
+    let f2 = vec![Row {
+        fields: vec![
+            ("pacing", "\"on\"".to_string()),
+            ("rate_bytes_per_sec", rate.to_string()),
+            ("offered_ops_per_sec", target_ops.to_string()),
+            ("catchup_ms", num(r.catchup_ms)),
+            ("baseline_ops_s", num(r.baseline_ops_s)),
+            ("max_stall_ms", num(r.max_stall_ms)),
+            ("worst_window_ops_s", num(r.worst_window_ops_s)),
+            ("dip_pct", num(r.dip_pct)),
+            ("sync_mb", num(r.sync_mb)),
+        ],
+    }];
 
     let json = format!(
         "{{\n  \"schema\": \"zab-recovery-bench/v1\",\n  \"quick\": {quick},\n  \

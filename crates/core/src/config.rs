@@ -141,8 +141,10 @@ pub struct ClusterConfig {
     /// time) shared by every in-flight catch-up sync the leader is
     /// shipping. Chunks past the budget wait for refills on `Tick`, so
     /// concurrent rejoining followers cannot starve PROPOSE fan-out.
-    /// `0` disables pacing entirely: the whole sync plan is emitted in
-    /// one burst with no per-chunk acks (the pre-pacing behavior).
+    /// The bucket holds one second of budget and never less than two
+    /// maximal chunks (2 MiB). Pacing cannot be switched off: `0` refills
+    /// at that 2 MiB/s floor, because a bucket that never refills would
+    /// wedge every multi-chunk sync.
     pub sync_rate_bytes_per_sec: u64,
     /// Dissemination topology for broadcast traffic (see [`Topology`]).
     pub topology: Topology,

@@ -85,6 +85,16 @@ fn config_sync_burst(config: &ClusterConfig) -> u64 {
     config.sync_rate_bytes_per_sec.max((2 * SYNC_CHUNK_BYTES) as u64)
 }
 
+/// Token-bucket refill per second. Every multi-chunk sync is a paced
+/// session and a bucket that never refills would wedge it, so a
+/// configured rate of zero refills the (floor-sized) bucket once a second.
+fn config_sync_rate(config: &ClusterConfig) -> u64 {
+    match config.sync_rate_bytes_per_sec {
+        0 => config_sync_burst(config),
+        rate => rate,
+    }
+}
+
 /// Live progress of a peer's catch-up sync, for observability
 /// (`/health` on a node driver).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -889,11 +899,10 @@ impl Leader {
         );
     }
 
-    /// Sends a plan's opening message and disposes of its unshipped chunk
-    /// tail: emits it all at once when pacing is disabled (or nothing
-    /// remains), otherwise parks it in a paced session gated on per-chunk
-    /// `SyncAck`s and the shared token bucket. The opening message stays
-    /// retransmittable until acked.
+    /// Sends a plan's opening message. A single-chunk plan is closed with
+    /// `NEWLEADER` at once; an unshipped chunk tail is parked in a paced
+    /// session gated on per-chunk `SyncAck`s and the shared token bucket.
+    /// The opening message stays retransmittable until acked.
     fn ship_or_pace(
         &mut self,
         from: ServerId,
@@ -902,11 +911,7 @@ impl Leader {
         out: &mut Vec<Action>,
     ) {
         out.push(Action::Send { to: from, msg: opening.clone() });
-        if self.config.sync_rate_bytes_per_sec == 0 || remaining.is_empty() {
-            for chunk in remaining {
-                self.charge_sync(chunk_cost(&chunk));
-                out.push(Action::Send { to: from, msg: Message::SyncDiff { txns: chunk } });
-            }
+        if remaining.is_empty() {
             self.finish_sync_stream(from, out);
         } else {
             let end = sync_msg_end(&opening).expect("paced opening chunk is non-empty");
@@ -1063,14 +1068,10 @@ impl Leader {
     /// chunk, its ack, or the trailing `NEWLEADER` — without this, leader
     /// and follower ping-pong forever with the sync wedged).
     fn pace_syncs(&mut self, now_ms: u64, out: &mut Vec<Action>) {
-        let rate = self.config.sync_rate_bytes_per_sec;
         let dt_ms = now_ms.saturating_sub(self.last_sync_refill_ms);
         self.last_sync_refill_ms = now_ms;
-        if rate == 0 {
-            return;
-        }
         if dt_ms > 0 {
-            let refill = rate.saturating_mul(dt_ms) / 1000;
+            let refill = config_sync_rate(&self.config).saturating_mul(dt_ms) / 1000;
             self.sync_tokens =
                 self.sync_tokens.saturating_add(refill).min(config_sync_burst(&self.config));
         }
@@ -2295,25 +2296,67 @@ mod tests {
     }
 
     #[test]
-    fn pacing_disabled_streams_whole_diff_in_one_burst() {
-        // sync_rate_bytes_per_sec = 0 restores the legacy behavior: every
-        // chunk plus NEWLEADER in a single batch, no acks required.
+    fn zero_sync_rate_paces_at_the_floor_and_retransmits_a_stalled_chunk() {
+        // A rate of 0 is not "pacing off": the stream is ack-gated like any
+        // other, the bucket refills at the 2 MiB/s floor, and the stall
+        // retransmit still runs.
         let mut config = cfg();
         config.sync_rate_bytes_per_sec = 0;
-        let mut l = leader_with_history(config, 6, SYNC_CHUNK_BYTES / 4);
+        let stall_ms = config.follower_timeout_ms;
+        let mut l = leader_with_history(config, 12, SYNC_CHUNK_BYTES / 4);
         let a = join_f3(&mut l);
-        let f3_msgs = sends_to(&a, F3);
-        let diffs = f3_msgs.iter().filter(|m| matches!(m, Message::SyncDiff { .. })).count();
-        assert!(diffs > 1, "unpaced multi-chunk stream ships at once");
-        assert!(matches!(f3_msgs.last().expect("stream not empty"), Message::NewLeader { .. }));
-        let total: usize = f3_msgs
-            .iter()
-            .filter_map(|m| match m {
-                Message::SyncDiff { txns } => Some(txns.len()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(total, 6);
+        let opening: Vec<Message> = sends_to(&a, F3).into_iter().cloned().collect();
+        assert_eq!(opening.len(), 1, "opening chunk only: the tail waits for acks");
+        let Message::SyncDiff { txns } = &opening[0] else { panic!("expected SyncDiff") };
+        let mut streamed: Vec<Txn> = txns.clone();
+        // Ticks keep both peers in contact (steps stay under the timeout).
+        let mut now = 0u64;
+        let tick = |l: &mut Leader, now: &mut u64| {
+            l.handle(msg(F2, Message::Pong { last_zxid: l.last_zxid() }));
+            l.handle(msg(F3, Message::Pong { last_zxid: Zxid::ZERO }));
+            *now += stall_ms / 2;
+            l.handle(Input::Tick { now_ms: *now })
+        };
+        // The opening chunk's ack never comes: one stall window later the
+        // tick resends it verbatim, and not before.
+        let diffs = |a: &[Action]| -> Vec<Message> {
+            let to_f3 = sends_to(a, F3).into_iter();
+            to_f3.filter(|m| matches!(m, Message::SyncDiff { .. })).cloned().collect()
+        };
+        let a = tick(&mut l, &mut now);
+        assert!(diffs(&a).is_empty(), "resent before the stall window elapsed");
+        let a = tick(&mut l, &mut now);
+        assert!(diffs(&a) == opening, "stalled chunk not resent verbatim");
+        // Ack chunk by chunk, ticking only when an ack releases nothing:
+        // the refilled 2 MiB bucket covers two of the three tail chunks,
+        // so the last one must wait for a tick-driven refill, then ship.
+        let mut released_by_tick = false;
+        let mut done = false;
+        for _ in 0..16 {
+            let last = streamed.last().expect("opening chunk is non-empty").zxid;
+            let mut a = l.handle(msg(F3, Message::SyncAck { last_zxid: last }));
+            let by_tick = sends_to(&a, F3).is_empty();
+            if by_tick {
+                a = tick(&mut l, &mut now);
+            }
+            for m in sends_to(&a, F3) {
+                match m {
+                    Message::SyncDiff { txns } => {
+                        released_by_tick |= by_tick;
+                        streamed.extend(txns.iter().cloned());
+                    }
+                    Message::NewLeader { .. } => done = true,
+                    _ => {}
+                }
+            }
+            if done {
+                break;
+            }
+        }
+        assert!(done, "rate-0 sync stream failed to terminate");
+        assert!(released_by_tick, "a dry bucket must refill at the floor rate");
+        assert_eq!(streamed.len(), 12);
+        assert!(streamed.windows(2).all(|w| w[0].zxid < w[1].zxid));
     }
 
     #[test]

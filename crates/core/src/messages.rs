@@ -106,8 +106,7 @@ pub enum Message {
         txn: Txn,
         /// The leader's highest committed zxid at proposal time — a
         /// cumulative commit-up-to watermark (see [`Message::Commit`]).
-        /// Always strictly below `txn.zxid`; [`Zxid::ZERO`] on frames
-        /// from peers predating the watermark (legacy tag).
+        /// Always strictly below `txn.zxid`.
         commit_up_to: Zxid,
     },
     /// Phase 3 (f → l): the proposal is durable at this follower. Acks are
@@ -176,15 +175,13 @@ const TAG_SYNC_SNAP: u8 = 6;
 const TAG_NEW_LEADER: u8 = 7;
 const TAG_ACK_NEW_LEADER: u8 = 8;
 const TAG_UP_TO_DATE: u8 = 9;
-const TAG_PROPOSE: u8 = 10;
 const TAG_ACK: u8 = 11;
 const TAG_COMMIT: u8 = 12;
 const TAG_PING: u8 = 13;
 const TAG_PONG: u8 = 14;
-/// `PROPOSE` with a piggybacked commit watermark. Encoding always emits
-/// this tag; plain [`TAG_PROPOSE`] still decodes (watermark
-/// [`Zxid::ZERO`], i.e. "no information") so mixed-version ensembles
-/// interoperate during a rolling upgrade.
+/// `PROPOSE` with its piggybacked commit watermark. Tag 10 (the
+/// watermark-less PROPOSE this replaced) is unassigned: no build emits it
+/// and it is rejected like any unknown tag.
 const TAG_PROPOSE_COMMIT: u8 = 15;
 /// Sync-stream chunk acknowledgement (paced catch-up flow control).
 const TAG_SYNC_ACK: u8 = 16;
@@ -384,7 +381,6 @@ impl Message {
                 last_zxid: Zxid(cur.get_u64_le_wire()?),
             },
             TAG_UP_TO_DATE => Message::UpToDate { commit_to: Zxid(cur.get_u64_le_wire()?) },
-            TAG_PROPOSE => Message::Propose { txn: Txn::decode(cur)?, commit_up_to: Zxid::ZERO },
             TAG_PROPOSE_COMMIT => {
                 let commit_up_to = Zxid(cur.get_u64_le_wire()?);
                 Message::Propose { txn: Txn::decode(cur)?, commit_up_to }
@@ -464,10 +460,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        assert_eq!(
-            Message::decode(&[0xFF]),
-            Err(WireError::InvalidTag { tag: 0xFF, context: "Message" })
-        );
+        // 10 is the retired watermark-less PROPOSE tag: unassigned now.
+        for tag in [10, 0xFF] {
+            assert_eq!(
+                Message::decode(&[tag]),
+                Err(WireError::InvalidTag { tag, context: "Message" })
+            );
+        }
     }
 
     #[test]
@@ -529,20 +528,6 @@ mod tests {
             };
             assert_eq!(&inner[..], &origin_wire[..], "bytes diverged for {}", origin.kind());
         }
-    }
-
-    #[test]
-    fn legacy_propose_tag_decodes_with_zero_watermark() {
-        // A pre-watermark peer sends TAG_PROPOSE with just the txn; it
-        // must decode as a Propose carrying the "no information"
-        // watermark.
-        let t = txn(4, 1);
-        let mut wire = vec![TAG_PROPOSE];
-        t.encode(&mut wire);
-        assert_eq!(
-            Message::decode(&wire).expect("legacy decode"),
-            Message::Propose { txn: t, commit_up_to: Zxid::ZERO }
-        );
     }
 
     #[test]

@@ -224,7 +224,6 @@ impl SubmitGate {
 /// All arithmetic is integer/f64 on caller-provided timestamps — no
 /// hidden clock, so tests drive it deterministically.
 pub(crate) struct AdaptiveWindow {
-    enabled: bool,
     cap: usize,
     min: usize,
     max: usize,
@@ -251,12 +250,21 @@ impl AdaptiveWindow {
     /// Minimum samples before an adjustment is meaningful.
     const MIN_SAMPLES: u64 = 8;
 
-    pub(crate) fn new(enabled: bool, min: usize, initial: usize, max: usize) -> AdaptiveWindow {
+    /// Floor of the window (clamped to the ceiling). Deep enough that the
+    /// pipeline stays busy even when the controller is maximally
+    /// defensive: the measured `throughput_vs_outstanding` curve still
+    /// does ~26 k ops/s at depth 32 and ~75% of peak at 64.
+    pub(crate) const FLOOR: usize = 64;
+    /// Seed of the window (clamped between floor and ceiling): the middle
+    /// of the measured throughput knee (the `throughput_vs_outstanding`
+    /// curve flattens between 128 and 512).
+    pub(crate) const SEED: usize = 256;
+
+    pub(crate) fn new(min: usize, initial: usize, max: usize) -> AdaptiveWindow {
         let max = max.max(1);
         let min = min.clamp(1, max);
         let cap = initial.clamp(min, max);
         AdaptiveWindow {
-            enabled,
             cap,
             min,
             max,
@@ -295,9 +303,6 @@ impl AdaptiveWindow {
     /// exception: a never-set floor takes its first interval's minimum
     /// even under shedding, else the target would be unbounded.)
     pub(crate) fn observe(&mut self, latency_ms: u64, now_ms: u64, sheds: u64) -> Option<usize> {
-        if !self.enabled {
-            return None;
-        }
         self.sum_ms += latency_ms;
         self.count += 1;
         self.interval_min_ms = self.interval_min_ms.min(latency_ms);
@@ -523,7 +528,7 @@ mod tests {
 
     #[test]
     fn window_shrinks_under_queueing_and_recovers() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 1000);
+        let mut w = AdaptiveWindow::new(64, 256, 1000);
         assert_eq!(w.cap(), 256);
         // Establish a 1 ms no-load floor.
         let now = drive(&mut w, 1, 0, 4);
@@ -538,20 +543,12 @@ mod tests {
     #[test]
     fn window_respects_bounds_and_seed_clamping() {
         // Seed above max clamps down; min above max clamps to max.
-        let w = AdaptiveWindow::new(true, 64, 256, 128);
+        let w = AdaptiveWindow::new(64, 256, 128);
         assert_eq!(w.cap(), 128);
-        let w = AdaptiveWindow::new(true, 64, 8, 128);
+        let w = AdaptiveWindow::new(64, 8, 128);
         assert_eq!(w.cap(), 64);
-        let w = AdaptiveWindow::new(true, 500, 256, 128);
+        let w = AdaptiveWindow::new(500, 256, 128);
         assert_eq!(w.cap(), 128);
-    }
-
-    #[test]
-    fn disabled_controller_never_moves() {
-        let mut w = AdaptiveWindow::new(false, 64, 512, 1000);
-        let now = drive(&mut w, 200, 0, 20);
-        drive(&mut w, 1, now, 20);
-        assert_eq!(w.cap(), 512);
     }
 
     /// The overload feedback loop: under sustained saturation every
@@ -564,7 +561,7 @@ mod tests {
     /// the ceiling nor getting pinned at the minimum.
     #[test]
     fn shedding_freezes_floor_so_window_settles_at_the_knee() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 4096);
+        let mut w = AdaptiveWindow::new(64, 256, 4096);
         // Establish a 2 ms no-load floor (target = 9 ms) while unloaded.
         let mut now = drive(&mut w, 2, 0, 4);
         // Sustained overload: the gate sheds every interval, and the
@@ -598,7 +595,7 @@ mod tests {
     /// reads as `u64::MAX`, whose target would admit runaway growth).
     #[test]
     fn overloaded_from_birth_bootstraps_a_floor() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 4096);
+        let mut w = AdaptiveWindow::new(64, 256, 4096);
         let mut now = 0;
         let mut sheds = 0;
         for _ in 0..40 {
@@ -618,7 +615,7 @@ mod tests {
 
     #[test]
     fn stale_floor_ages_out() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 1000);
+        let mut w = AdaptiveWindow::new(64, 256, 1000);
         // A 1 ms floor from a cold regime...
         let now = drive(&mut w, 1, 0, 4);
         // ...then the true service time becomes 12 ms (e.g. disk added).

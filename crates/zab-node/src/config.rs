@@ -20,55 +20,25 @@ pub struct NodeConfig {
     pub election: ElectionConfig,
     /// Storage directory; `None` uses in-memory storage (tests, benches).
     pub data_dir: Option<PathBuf>,
-    /// Event-loop tick period in milliseconds.
-    pub tick_ms: u64,
     /// Compact the log into a snapshot every `k` applied transactions
-    /// (ZooKeeper's snapCount); `None` disables the count trigger.
+    /// (ZooKeeper's snapCount); `None` never compacts.
     pub snapshot_every: Option<u64>,
-    /// Compact the log into a snapshot once the applied payload bytes
-    /// since the last compaction exceed this; `None` disables the bytes
-    /// trigger. Either threshold firing compacts and resets both.
-    pub snapshot_bytes: Option<u64>,
-    /// Periodically dump a JSON metrics snapshot to this file (written
-    /// via a temp file + rename, so readers never see a torn dump);
-    /// `None` disables dumping.
-    pub metrics_dump_path: Option<PathBuf>,
-    /// Interval between metrics dumps in milliseconds.
-    pub metrics_dump_every_ms: u64,
     /// Submit-side admission window *ceiling*: the gate never admits more
     /// than this many of this replica's own requests in flight (submitted
     /// but not yet delivered or rejected). [`crate::Replica::submit`]
     /// blocks at the gate; [`crate::Replica::try_submit`] and
     /// [`crate::Replica::submit_deadline`] shed instead. `None` (default)
     /// tracks the protocol window ([`ClusterConfig::max_outstanding`]).
+    /// Below the ceiling the live capacity is steered by a latency-target
+    /// controller (DESIGN.md §5c) whose floor (64) and seed (256) are
+    /// clamped to the ceiling, so a window at or below the floor pins the
+    /// gate.
     pub submit_window: Option<usize>,
-    /// Adaptive admission (default `true`): the gate's live capacity
-    /// starts at [`NodeConfig::admission_initial_window`] and is steered
-    /// between [`NodeConfig::admission_min_window`] and the submit-window
-    /// ceiling by a latency-target controller tracking the commit
-    /// pipeline's observed in-flight sweet spot (DESIGN.md §5c). `false`
-    /// pins the gate at the ceiling (the pre-adaptive behavior).
-    pub adaptive_window: bool,
-    /// Floor for the adaptive admission window (clamped to the ceiling).
-    /// Deep enough that the pipeline stays busy even when the controller
-    /// is maximally defensive: the measured `throughput_vs_outstanding`
-    /// curve still does ~26 k ops/s at depth 32 and ~75% of peak at 64.
-    pub admission_min_window: usize,
-    /// Seed for the adaptive admission window; `None` (default) seeds at
-    /// 256, the middle of the measured throughput knee (the
-    /// `throughput_vs_outstanding` curve flattens between 128 and 512).
-    /// Clamped between the floor and the ceiling.
-    pub admission_initial_window: Option<usize>,
     /// Serve the admin HTTP endpoint (`GET /metrics`, `GET /health`,
     /// `GET /trace?last=N`) on this address; `None` (default) disables
     /// it. The endpoint is unauthenticated — bind loopback
     /// (`127.0.0.1:...`) unless the network is trusted.
     pub admin_addr: Option<SocketAddr>,
-    /// Flight-recorder ring capacity, in events per recording thread:
-    /// each thread that records keeps its newest `trace_capacity`
-    /// events, overwriting the oldest, so recorder memory stays bounded
-    /// at `threads × trace_capacity × size_of::<TraceEvent>()`.
-    pub trace_capacity: usize,
     /// Record flight-recorder events (default true). With tracing off the
     /// recorder still exists (so `/trace` serves an empty, valid
     /// document) but no layer records into it — the configuration the
@@ -92,17 +62,9 @@ impl NodeConfig {
             cluster: ClusterConfig::majority(members.clone()),
             election: ElectionConfig::new(members),
             data_dir: None,
-            tick_ms: 5,
             snapshot_every: None,
-            snapshot_bytes: None,
-            metrics_dump_path: None,
-            metrics_dump_every_ms: 1000,
             submit_window: None,
-            adaptive_window: true,
-            admission_min_window: 64,
-            admission_initial_window: None,
             admin_addr: None,
-            trace_capacity: 4096,
             tracing: true,
         }
     }
@@ -112,33 +74,9 @@ impl NodeConfig {
         self.submit_window.unwrap_or(self.cluster.max_outstanding).max(1)
     }
 
-    /// The admission gate's `(floor, seed, ceiling)`, mutually clamped:
-    /// `floor ≤ seed ≤ ceiling` always holds, whatever was configured.
-    pub fn effective_admission_bounds(&self) -> (usize, usize, usize) {
-        let max = self.effective_submit_window();
-        let min = self.admission_min_window.clamp(1, max);
-        let initial = self.admission_initial_window.unwrap_or(256).clamp(min, max);
-        (min, initial, max)
-    }
-
     /// Caps this replica's own in-flight submissions at `window`.
     pub fn with_submit_window(mut self, window: usize) -> NodeConfig {
         self.submit_window = Some(window);
-        self
-    }
-
-    /// Enables or disables the adaptive admission controller (see
-    /// [`NodeConfig::adaptive_window`]).
-    pub fn with_adaptive_window(mut self, adaptive: bool) -> NodeConfig {
-        self.adaptive_window = adaptive;
-        self
-    }
-
-    /// Sets the adaptive admission floor and seed (both clamped to the
-    /// submit-window ceiling at boot).
-    pub fn with_admission_bounds(mut self, min: usize, initial: usize) -> NodeConfig {
-        self.admission_min_window = min.max(1);
-        self.admission_initial_window = Some(initial.max(1));
         self
     }
 
@@ -154,31 +92,10 @@ impl NodeConfig {
         self
     }
 
-    /// Enables periodic log compaction once `bytes` of applied payload
-    /// accumulate since the last compaction.
-    pub fn with_snapshot_bytes(mut self, bytes: u64) -> NodeConfig {
-        self.snapshot_bytes = Some(bytes);
-        self
-    }
-
-    /// Enables periodic JSON metrics dumps to `path` every `every_ms`
-    /// milliseconds (see [`zab_metrics::Snapshot::to_json`]).
-    pub fn with_metrics_dump(mut self, path: impl Into<PathBuf>, every_ms: u64) -> NodeConfig {
-        self.metrics_dump_path = Some(path.into());
-        self.metrics_dump_every_ms = every_ms.max(1);
-        self
-    }
-
     /// Serves the admin HTTP endpoint on `addr` (port 0 picks a free
     /// port; read it back via [`crate::Replica::admin_addr`]).
     pub fn with_admin(mut self, addr: SocketAddr) -> NodeConfig {
         self.admin_addr = Some(addr);
-        self
-    }
-
-    /// Sets the per-thread flight-recorder ring capacity, in events.
-    pub fn with_trace_capacity(mut self, events: usize) -> NodeConfig {
-        self.trace_capacity = events.max(1);
         self
     }
 

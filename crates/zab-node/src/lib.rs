@@ -50,4 +50,4 @@ pub mod replica;
 pub use apps::{Application, BytesApp, KvApp};
 pub use config::NodeConfig;
 pub use metrics::NodeMetrics;
-pub use replica::{write_atomic, NodeEvent, Replica, Role, SubmitError};
+pub use replica::{NodeEvent, Replica, Role, SubmitError};

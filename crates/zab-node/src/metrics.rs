@@ -28,7 +28,7 @@ pub struct NodeMetrics {
     /// offered load exceeds what the pipeline drains.
     pub submits_shed: Arc<Counter>,
     /// The admission gate's live capacity (the adaptive window's current
-    /// value; constant when `adaptive_window` is off).
+    /// value).
     pub submit_window: Arc<Gauge>,
     /// Storage faults that fail-stopped this replica.
     pub storage_faults: Arc<Counter>,

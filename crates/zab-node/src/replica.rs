@@ -10,7 +10,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
-use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -23,6 +22,15 @@ use zab_log::{FileStorage, LogMetrics, MemStorage, Storage};
 use zab_metrics::{Clock, Registry, Snapshot, WallClock};
 use zab_trace::{Recorder, Stage, TraceEvent, Tracer};
 use zab_transport::{Transport, TransportEvent, TransportMsg};
+
+/// Event-loop tick period: drives pings, timeout checks and sync pacing.
+const TICK_MS: u64 = 5;
+
+/// Flight-recorder ring capacity, in events per recording thread: each
+/// thread that records keeps its newest `TRACE_CAPACITY` events,
+/// overwriting the oldest, so recorder memory stays bounded at
+/// `threads × TRACE_CAPACITY × size_of::<TraceEvent>()`.
+const TRACE_CAPACITY: usize = 4096;
 
 /// The replica's current protocol role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +203,7 @@ impl<A: Application> Replica<A> {
         // — latency histograms and the flight recorder share an origin,
         // so trace events and metric samples line up on one timeline.
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let recorder = Recorder::new(id.0, cfg.trace_capacity, Arc::clone(&clock));
+        let recorder = Recorder::new(id.0, TRACE_CAPACITY, Arc::clone(&clock));
         // Tracing off: the recorder stays (an empty `/trace` still serves)
         // but every layer gets a disabled handle — zero record-path cost.
         let tracer =
@@ -221,8 +229,11 @@ impl<A: Application> Replica<A> {
         let role = Arc::new(Mutex::new(Role::Looking));
         let app = Arc::new(Mutex::new(app));
         let node_metrics = NodeMetrics::registered(&metrics);
-        let (adm_min, adm_initial, adm_max) = cfg.effective_admission_bounds();
-        let admission = AdaptiveWindow::new(cfg.adaptive_window, adm_min, adm_initial, adm_max);
+        let admission = AdaptiveWindow::new(
+            AdaptiveWindow::FLOOR,
+            AdaptiveWindow::SEED,
+            cfg.effective_submit_window(),
+        );
         let submit_gate = Arc::new(SubmitGate::new(admission.cap()));
         node_metrics.submit_window.set(admission.cap() as i64);
         let health = Arc::new(Mutex::new(HealthState::new(
@@ -319,7 +330,6 @@ impl<A: Application> Replica<A> {
             faulted: false,
             clock,
             applied_since_compact: 0,
-            applied_bytes_since_compact: 0,
             registry: Arc::clone(&metrics),
             core_metrics: CoreMetrics::registered(&metrics),
             node_metrics: node_metrics.clone(),
@@ -329,8 +339,6 @@ impl<A: Application> Replica<A> {
             admission,
             tracer,
             health,
-            last_dump_ms: 0,
-            dump_seq: 0,
             submit_gate: Arc::clone(&submit_gate),
             delivery_hash: DeliveryHash::new(),
             published_hash_version: 0,
@@ -519,7 +527,6 @@ struct EventLoop<A: Application> {
     /// correctly across election restarts and role changes.
     clock: Arc<dyn Clock>,
     applied_since_compact: u64,
-    applied_bytes_since_compact: u64,
     registry: Arc<Registry>,
     core_metrics: CoreMetrics,
     node_metrics: NodeMetrics,
@@ -542,10 +549,6 @@ struct EventLoop<A: Application> {
     tracer: Tracer,
     /// Health facts served by the admin endpoint.
     health: Arc<Mutex<HealthState>>,
-    last_dump_ms: u64,
-    /// Dump sequence number: readers of the metrics dump can tell two
-    /// observations apart even if every counter happens to be equal.
-    dump_seq: u64,
     /// Shared with [`Replica::submit`]: every acquired slot is released
     /// exactly once — on delivery, rejection, or demotion.
     submit_gate: Arc<SubmitGate>,
@@ -580,14 +583,14 @@ impl<A: Application> EventLoop<A> {
         // before the first blocking select, or every node sits corked
         // waiting for everyone else's first move.
         self.transport.flush();
-        let ticker = crossbeam::channel::tick(Duration::from_millis(self.cfg.tick_ms));
+        let ticker = crossbeam::channel::tick(Duration::from_millis(TICK_MS));
         loop {
             // The ticker goes first: the select is biased toward earlier
             // arms, and ticks drive pings and timeout checks — under a
             // saturating workload the other channels are *always* ready,
             // and a last-place ticker starves until followers give up on
             // a perfectly healthy leader. First place cannot starve the
-            // others: a tick is ready at most once per tick_ms.
+            // others: a tick is ready at most once per period.
             crossbeam::channel::select! {
                 recv(ticker) -> _ => {
                     // Collapse any backlog: one tick at the current clock
@@ -596,7 +599,6 @@ impl<A: Application> EventLoop<A> {
                     let now_ms = self.now_ms();
                     self.feed_election(ElectionInput::Tick { now_ms });
                     self.feed_zab(Input::Tick { now_ms });
-                    self.maybe_dump_metrics(now_ms);
                 }
                 recv(self.commands_rx) -> cmd => match cmd {
                     Ok(cmd) => {
@@ -709,28 +711,6 @@ impl<A: Application> EventLoop<A> {
         self.election = None;
         self.node_metrics.storage_faults.inc();
         let _ = self.events_tx.send(NodeEvent::StorageFault { context, error });
-    }
-
-    /// Best-effort periodic metrics dump: a torn or failed write must
-    /// never hurt the replica, so errors are swallowed and the file is
-    /// replaced atomically via a temp-file rename ([`write_atomic`]).
-    /// Each dump carries a strictly increasing `seq` plus a
-    /// `dumped_at_ms` wall timestamp, so a reader can order two
-    /// observations even when every counter in them is equal.
-    fn maybe_dump_metrics(&mut self, now_ms: u64) {
-        let Some(path) = self.cfg.metrics_dump_path.as_ref() else { return };
-        if now_ms < self.last_dump_ms.saturating_add(self.cfg.metrics_dump_every_ms) {
-            return;
-        }
-        self.last_dump_ms = now_ms;
-        self.dump_seq += 1;
-        let body = self.registry.snapshot().to_json();
-        let wall_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis() as u64);
-        // Splice the envelope into the snapshot's own JSON object.
-        let json = format!("{{\"seq\":{},\"dumped_at_ms\":{wall_ms},{}", self.dump_seq, &body[1..]);
-        let _ = write_atomic(path, json.as_bytes());
     }
 
     fn begin_election(&mut self) {
@@ -901,19 +881,9 @@ impl<A: Application> EventLoop<A> {
                             );
                         }
                     }
-                    let payload_bytes = txn.data.len() as u64;
                     let _ = self.events_tx.send(NodeEvent::Delivered(txn));
                     self.applied_since_compact += 1;
-                    self.applied_bytes_since_compact += payload_bytes;
-                    let count_due = self
-                        .cfg
-                        .snapshot_every
-                        .is_some_and(|every| self.applied_since_compact >= every);
-                    let bytes_due = self
-                        .cfg
-                        .snapshot_bytes
-                        .is_some_and(|bytes| self.applied_bytes_since_compact >= bytes);
-                    if count_due || bytes_due {
+                    if self.cfg.snapshot_every.is_some_and(|k| self.applied_since_compact >= k) {
                         self.compact();
                     }
                 }
@@ -970,7 +940,6 @@ impl<A: Application> EventLoop<A> {
     /// in-memory history prefix.
     fn compact(&mut self) {
         self.applied_since_compact = 0;
-        self.applied_bytes_since_compact = 0;
         let (snapshot, through) = {
             let app = self.app.lock();
             (Bytes::from(app.snapshot()), app.applied_to())
@@ -1108,20 +1077,6 @@ impl<A: Application> EventLoop<A> {
     }
 }
 
-/// Writes `bytes` to `path` atomically: the content lands in a sibling
-/// temp file first and is renamed into place, so a concurrent reader
-/// observes either the previous complete file or the new complete file —
-/// never a prefix. Used by the periodic metrics dump.
-///
-/// # Errors
-///
-/// Fails if the temp file cannot be written or the rename fails.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Convenience: true once the role is an established leader.
 pub fn is_established(role: Role) -> bool {
     matches!(role, Role::Leading { established: true, .. })
@@ -1129,61 +1084,3 @@ pub fn is_established(role: Role) -> bool {
 
 /// Convenience: the zxid type re-exported for embedding programs.
 pub type AppliedZxid = Zxid;
-
-#[cfg(test)]
-mod tests {
-    use super::write_atomic;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    /// Satellite regression: a reader polling the metrics dump must never
-    /// observe a torn or partial file, and `seq` must move forward. The
-    /// writer hammers dumps of wildly varying sizes while the reader
-    /// re-reads the same path; any prefix-only observation fails.
-    #[test]
-    fn atomic_dump_is_never_observed_torn() {
-        let dir = std::env::temp_dir().join(format!("zab-atomic-dump-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("metrics.json");
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let path = path.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut seq = 0u64;
-                while !stop.load(Ordering::SeqCst) {
-                    seq += 1;
-                    let pad = "x".repeat(1 + (seq as usize * 97) % 4096);
-                    let json = format!("{{\"seq\":{seq},\"dumped_at_ms\":0,\"pad\":\"{pad}\"}}");
-                    write_atomic(&path, json.as_bytes()).expect("dump");
-                }
-            })
-        };
-        // Wait for the first dump, then check every observation.
-        while !path.exists() {
-            std::thread::yield_now();
-        }
-        let mut last_seq = 0u64;
-        for _ in 0..2_000 {
-            let json = std::fs::read_to_string(&path).expect("read dump");
-            assert!(json.starts_with("{\"seq\":"), "torn head: {json:.40}");
-            assert!(
-                json.ends_with('}'),
-                "torn tail: ...{:.40}",
-                &json[json.len().saturating_sub(40)..]
-            );
-            let seq: u64 = json["{\"seq\":".len()..]
-                .split(',')
-                .next()
-                .expect("seq field")
-                .parse()
-                .expect("seq parses");
-            assert!(seq >= last_seq, "seq went backwards: {seq} < {last_seq}");
-            last_seq = seq;
-        }
-        stop.store(true, Ordering::SeqCst);
-        writer.join().expect("writer");
-        assert!(last_seq > 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}

@@ -31,9 +31,7 @@ fn start_cluster(
 ) -> BTreeMap<ServerId, Replica<BytesApp>> {
     book.keys()
         .map(|&id| {
-            let cfg = NodeConfig::new(id, book.clone())
-                .with_submit_window(window)
-                .with_adaptive_window(false);
+            let cfg = NodeConfig::new(id, book.clone()).with_submit_window(window);
             (id, Replica::start(cfg, BytesApp::new()).expect("start"))
         })
         .collect()

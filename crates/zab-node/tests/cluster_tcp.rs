@@ -81,15 +81,11 @@ fn three_replicas_elect_broadcast_deliver() {
 
 #[test]
 fn metrics_agree_across_replicas_and_time_the_commit_path() {
-    let dump_dir = std::env::temp_dir().join(format!("zab-node-metrics-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dump_dir);
-    std::fs::create_dir_all(&dump_dir).expect("mkdir");
     let book = address_book(3);
     let replicas: BTreeMap<ServerId, Replica<BytesApp>> = book
         .keys()
         .map(|&id| {
-            let cfg = NodeConfig::new(id, book.clone())
-                .with_metrics_dump(dump_dir.join(format!("n{}.json", id.0)), 50);
+            let cfg = NodeConfig::new(id, book.clone());
             (id, Replica::start(cfg, BytesApp::new()).expect("start"))
         })
         .collect();
@@ -139,26 +135,6 @@ fn metrics_agree_across_replicas_and_time_the_commit_path() {
         .map(|(_, s)| s.counter("core.acks_sent"))
         .sum();
     assert!(follower_acks >= 1, "no follower ever acked a proposal");
-
-    // The periodic JSON dump landed and looks like a snapshot dump
-    // wrapped in the `{seq, dumped_at_ms, ...}` envelope.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let dump_path = dump_dir.join(format!("n{}.json", leader.0));
-    loop {
-        if let Ok(json) = std::fs::read_to_string(&dump_path) {
-            if json.contains("\"core.proposals_committed\"") {
-                assert!(json.starts_with("{\"seq\":"), "unexpected dump shape: {json:.60}");
-                assert!(json.contains("\"dumped_at_ms\":"), "missing wall timestamp");
-                assert!(json.contains("\"counters\":{"), "missing counters section");
-                assert!(json.ends_with('}'), "dump truncated");
-                break;
-            }
-        }
-        assert!(Instant::now() < deadline, "metrics dump never appeared at {dump_path:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    drop(replicas);
-    let _ = std::fs::remove_dir_all(&dump_dir);
 }
 
 #[test]

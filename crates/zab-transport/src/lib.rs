@@ -23,30 +23,25 @@
 //!   node), and every failed dial surfaces as
 //!   [`TransportEvent::ConnectFailed`] rather than vanishing.
 //!
-//! ## Architecture: inline sends, one readiness loop
+//! ## Architecture: corked sends, one readiness loop
 //!
-//! Sends run on the **caller's** thread: [`Transport::send`] and
-//! [`Transport::broadcast`] encode the message once into a refcounted
-//! [`Frame`](conn::Frame) (payload bytes *and* checksum computed exactly
-//! once, shared across every target peer), take the peer's write lock,
-//! and flush straight into the nonblocking socket — one vectored write
-//! covering up to 64 frames / 256 KiB per syscall, resuming partial
-//! writes from a cursor ([`conn::WriteBuf`]). The hot path costs no
-//! cross-thread handoff and no wakeup.
-//!
-//! Callers with batchy traffic — the replica event loop above all — use
-//! the corked forms: [`Transport::queue`] / [`Transport::queue_broadcast`]
-//! append frames without flushing, and one [`Transport::flush`] at the
-//! caller's batch boundary writes each peer's accumulated burst in a
-//! single vectored syscall. This recovers, deliberately and at an
-//! explicit boundary, the write amortization the old design got as a
-//! side effect of its per-peer writer threads falling behind.
+//! Sends run on the **caller's** thread, in two steps.
+//! [`Transport::queue`] / [`Transport::queue_broadcast`] encode the
+//! message once into a refcounted [`Frame`](conn::Frame) (payload bytes
+//! *and* checksum computed exactly once, shared across every target peer)
+//! and cork it into each peer's write buffer. [`Transport::flush`], at the
+//! caller's batch boundary, takes each touched peer's write lock and
+//! writes its accumulated burst straight into the nonblocking socket — one
+//! vectored write covering up to 64 frames / 256 KiB per syscall, resuming
+//! partial writes from a cursor ([`conn::WriteBuf`]). The hot path costs
+//! no cross-thread handoff and no wakeup, and nothing reaches a peer
+//! before `flush`.
 //!
 //! Everything asynchronous — accepting, reading inbound frames, dialing
 //! with backoff, and draining a socket that went `WouldBlock` under a
-//! sender — belongs to **a single I/O thread per node**: an event-driven
+//! flush — belongs to **a single I/O thread per node**: an event-driven
 //! readiness loop ([`wire_loop`]) over nonblocking sockets and `poll(2)`
-//! ([`poller`]). A choked sender pokes the loop's waker; the loop arms
+//! ([`poller`]). A choked flush pokes the loop's waker; the loop arms
 //! `POLLOUT` and finishes the job as readiness arrives.
 //!
 //! The payoff is flat ensemble scaling: where the old design spent
@@ -74,7 +69,7 @@ mod wire_loop;
 
 use conn::Frame;
 use poller::Waker;
-use wire_loop::{Offer, Outbound, WireLoop};
+use wire_loop::{Outbound, WireLoop};
 
 /// A message on the mesh: protocol or election traffic.
 #[derive(Debug, Clone)]
@@ -159,15 +154,14 @@ pub enum TransportEvent {
 
 /// The TCP mesh endpoint for one replica.
 ///
-/// Create with [`Transport::start`]; send with [`Transport::send`]; drain
-/// [`Transport::events`] from the replica's event loop. Dropping the
-/// transport stops the I/O thread, joins it, and closes every socket —
-/// after `drop` returns, no further event can be emitted.
+/// Create with [`Transport::start`]; send with [`Transport::queue`] and
+/// [`Transport::flush`]; drain [`Transport::events`] from the replica's
+/// event loop. Dropping the transport stops the I/O thread, joins it, and
+/// closes every socket — after `drop` returns, no further event can be
+/// emitted.
 pub struct Transport {
     id: ServerId,
-    /// Every configured peer (self excluded), the default broadcast set.
-    peers: Vec<ServerId>,
-    /// Each peer's shared write half: senders flush inline through these.
+    /// Each peer's shared write half: senders cork into and flush these.
     outs: BTreeMap<ServerId, Arc<Outbound>>,
     waker: Waker,
     events_rx: Receiver<TransportEvent>,
@@ -177,7 +171,9 @@ pub struct Transport {
     /// Metrics registry shared with the wire loop
     /// (per-peer instruments under `transport.*.<peer>`).
     metrics: Arc<Registry>,
-    /// Sends that went nowhere: unknown peer, or peer not connected.
+    /// Sends that went nowhere. Counted here for an unknown peer or an
+    /// unframeable message, by the peer's [`Outbound`] for frames that
+    /// were dropped with their channel.
     send_dropped: Arc<Counter>,
     /// Flight-recorder handle: wire-out/wire-in instants for broadcast
     /// traffic (disabled unless built via [`Transport::start_traced`]).
@@ -189,8 +185,9 @@ impl Transport {
     /// the listener and every peer connection (peers may be down; the
     /// loop re-dials forever).
     ///
-    /// Metrics are recorded into a private registry; use
-    /// [`Transport::start_with_metrics`] to share the replica's.
+    /// Metrics are recorded into a private registry and nothing is traced;
+    /// use [`Transport::start_traced`] to share the replica's registry and
+    /// flight recorder.
     ///
     /// # Errors
     ///
@@ -200,36 +197,20 @@ impl Transport {
         listen: SocketAddr,
         peers: BTreeMap<ServerId, SocketAddr>,
     ) -> std::io::Result<Transport> {
-        Transport::start_with_metrics(id, listen, peers, Arc::new(Registry::new()))
+        Transport::start_traced(id, listen, peers, Arc::new(Registry::new()), Tracer::disabled())
     }
 
-    /// [`Transport::start`] recording into `metrics`: per-peer counters
-    /// `transport.{bytes,frames}_{in,out}.<peer>`, dial accounting
-    /// `transport.{connects,connect_failures,disconnects}.<peer>`, the
-    /// `transport.send_queue_depth.<peer>` gauge, per-flush
-    /// `transport.batch_{frames,bytes}.<peer>` histograms, and the
-    /// node-wide `transport.send_dropped` counter. Instruments must exist
-    /// at thread spawn, which is why the registry is a constructor argument
-    /// rather than a `set_metrics` seam.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listen socket cannot be bound.
-    pub fn start_with_metrics(
-        id: ServerId,
-        listen: SocketAddr,
-        peers: BTreeMap<ServerId, SocketAddr>,
-        metrics: Arc<Registry>,
-    ) -> std::io::Result<Transport> {
-        Transport::start_traced(id, listen, peers, metrics, Tracer::disabled())
-    }
-
-    /// [`Transport::start_with_metrics`] plus a flight-recorder handle:
-    /// every traced Zab message (PROPOSE/ACK/COMMIT) records a `wire-out`
-    /// instant when queued and a `wire-in` instant when decoded off a
-    /// peer's connection, keyed by the zxid carried in the frame — no
-    /// extra wire bytes. Like the registry, the tracer is a constructor
-    /// argument because the wire loop captures it at spawn.
+    /// [`Transport::start`] recording into `metrics` — per-peer
+    /// `transport.{bytes,frames}_{in,out}.<peer>`,
+    /// `transport.{connects,connect_failures,disconnects}.<peer>`,
+    /// `transport.send_queue_depth.<peer>` and per-flush
+    /// `transport.batch_{frames,bytes}.<peer>`, plus the node-wide
+    /// `transport.send_dropped` — and into `tracer`: every traced Zab
+    /// message (PROPOSE/ACK/COMMIT) records a `wire-out` instant when
+    /// queued and a `wire-in` instant when decoded off a peer's
+    /// connection, keyed by the zxid carried in the frame (no extra wire
+    /// bytes). Both are constructor arguments because the wire loop
+    /// captures them at spawn.
     ///
     /// # Errors
     ///
@@ -267,7 +248,6 @@ impl Transport {
             .spawn(move || wire_loop.run())?;
         Ok(Transport {
             id,
-            peers: peers.keys().copied().filter(|&p| p != id).collect(),
             outs,
             waker,
             events_rx,
@@ -295,120 +275,30 @@ impl Transport {
         self.local_addr
     }
 
-    /// Sends `msg` to `peer`, written inline on this thread when the
-    /// socket can take it. Messages to unknown peers, or sent while the
-    /// peer is unreachable, are dropped without panicking — the protocol
-    /// treats the channel as broken either way — and counted in
-    /// `transport.send_dropped`.
-    pub fn send(&self, peer: ServerId, msg: TransportMsg) {
-        let Some(out) = self.outs.get(&peer) else {
-            self.send_dropped.inc();
-            return;
-        };
-        if let Some(zxid) = msg.traced_zxid() {
-            self.tracer.instant(Stage::WireOut, zxid, peer.0);
-        }
-        let Some(frame) = Frame::try_new(msg.encode()) else {
-            // Unframeable message (over MAX_FRAME_LEN): skipping it would
-            // silently violate FIFO, so break the channel visibly — the
-            // protocol's normal recovery for a broken channel takes over.
-            self.send_dropped.inc();
-            if out.poison() {
-                self.waker.wake();
-            }
-            return;
-        };
-        match out.offer(frame) {
-            Offer::Sent => {}
-            Offer::SentNeedsWake => self.waker.wake(),
-            Offer::Dropped => self.send_dropped.inc(),
-        }
-    }
-
-    /// Queues `msg` for every peer, encoding it exactly once: one frame
-    /// (payload + checksum) is built and every peer's write buffer holds
-    /// a refcounted handle to it, so the per-peer cost is independent of
-    /// the payload size.
-    pub fn broadcast(&self, msg: TransportMsg) {
-        let peers = self.peers.clone();
-        self.broadcast_to(&peers, msg);
-    }
-
-    /// [`Transport::broadcast`] restricted to an explicit target set —
-    /// the fan-out primitive the leader uses to reach exactly its active
-    /// followers. Unknown targets (and `self`) are skipped; unknown ones
-    /// count as dropped. One encode, one frame, N handles, each flushed
-    /// inline into its peer's socket.
-    pub fn broadcast_to(&self, peers: &[ServerId], msg: TransportMsg) {
-        let traced = msg.traced_zxid();
-        let mut frame: Option<Frame> = None;
-        let mut unframeable = false;
-        let mut need_wake = false;
-        for &peer in peers {
-            if peer == self.id {
-                continue;
-            }
-            let Some(out) = self.outs.get(&peer) else {
-                self.send_dropped.inc();
-                continue;
-            };
-            if let Some(zxid) = traced {
-                self.tracer.instant(Stage::WireOut, zxid, peer.0);
-            }
-            // Encode lazily — a broadcast whose every target is unknown
-            // never encodes at all — then clone handles, never bytes. An
-            // unframeable message poisons every reachable target: FIFO
-            // breaks visibly rather than silently skipping a message.
-            if frame.is_none() && !unframeable {
-                frame = Frame::try_new(msg.encode());
-                unframeable = frame.is_none();
-            }
-            let Some(f) = &frame else {
-                self.send_dropped.inc();
-                need_wake |= out.poison();
-                continue;
-            };
-            match out.offer(f.clone()) {
-                Offer::Sent => {}
-                Offer::SentNeedsWake => need_wake = true,
-                Offer::Dropped => self.send_dropped.inc(),
-            }
-        }
-        if need_wake {
-            self.waker.wake();
-        }
-    }
-
-    /// Corks `msg` into `peer`'s write buffer without flushing. Callers
-    /// own the batch boundary: after queueing everything an event batch
-    /// produced, [`Transport::flush`] sends it all in one vectored write
-    /// per peer. Dropping semantics match [`Transport::send`].
+    /// Corks `msg` into `peer`'s write buffer without flushing: the
+    /// one-target case of [`Transport::queue_broadcast`].
     pub fn queue(&self, peer: ServerId, msg: TransportMsg) {
-        let Some(out) = self.outs.get(&peer) else {
-            self.send_dropped.inc();
-            return;
-        };
-        if let Some(zxid) = msg.traced_zxid() {
-            self.tracer.instant(Stage::WireOut, zxid, peer.0);
-        }
-        let Some(frame) = Frame::try_new(msg.encode()) else {
-            self.send_dropped.inc();
-            if out.poison() {
-                self.waker.wake();
-            }
-            return;
-        };
-        if matches!(out.queue(frame), Offer::Dropped) {
-            self.send_dropped.inc();
-        }
+        self.queue_broadcast(&[peer], msg);
     }
 
-    /// [`Transport::broadcast_to`] that corks instead of flushing: one
-    /// encode, N refcounted handles, all held until [`Transport::flush`].
+    /// Corks `msg` into the write buffer of every peer in `peers`,
+    /// encoding it exactly once: one frame (payload + checksum) is built
+    /// and every target holds a refcounted handle to it, so the per-peer
+    /// cost is independent of the payload size. Nothing is written until
+    /// [`Transport::flush`]: callers own the batch boundary, and after
+    /// queueing everything an event batch produced, one flush sends it all
+    /// in one vectored write per peer.
+    ///
+    /// `self` is skipped. A message to an unknown peer, or to one that is
+    /// unreachable (dropped with its channel before it was written), goes
+    /// nowhere without panicking — the protocol treats the channel as
+    /// broken either way — and is counted in `transport.send_dropped`.
     pub fn queue_broadcast(&self, peers: &[ServerId], msg: TransportMsg) {
         let traced = msg.traced_zxid();
-        let mut frame: Option<Frame> = None;
-        let mut unframeable = false;
+        // Encoded lazily, at most once — a broadcast whose every target is
+        // unknown never encodes at all; targets clone handles, never
+        // bytes. The inner `None` is a message over MAX_FRAME_LEN.
+        let mut frame: Option<Option<Frame>> = None;
         let mut need_wake = false;
         for &peer in peers {
             if peer == self.id {
@@ -421,17 +311,16 @@ impl Transport {
             if let Some(zxid) = traced {
                 self.tracer.instant(Stage::WireOut, zxid, peer.0);
             }
-            if frame.is_none() && !unframeable {
-                frame = Frame::try_new(msg.encode());
-                unframeable = frame.is_none();
-            }
-            let Some(f) = &frame else {
-                self.send_dropped.inc();
-                need_wake |= out.poison();
-                continue;
-            };
-            if matches!(out.queue(f.clone()), Offer::Dropped) {
-                self.send_dropped.inc();
+            match frame.get_or_insert_with(|| Frame::try_new(msg.encode())) {
+                Some(f) => out.queue(f.clone()),
+                None => {
+                    // Unframeable: skipping it would silently violate
+                    // FIFO, so break every reachable target's channel
+                    // visibly — the protocol's normal recovery for a
+                    // broken channel takes over.
+                    self.send_dropped.inc();
+                    need_wake |= out.poison();
+                }
             }
         }
         if need_wake {
@@ -488,36 +377,68 @@ mod tests {
         t.events().recv_timeout(timeout).ok()
     }
 
-    fn mesh(n: u64) -> Vec<Transport> {
-        // Bind ephemeral ports first, then wire the address book.
-        let listeners: Vec<(ServerId, SocketAddr)> = (1..=n)
+    /// Reserves `n` ephemeral loopback ports (ids `1..=n`); nothing
+    /// listens on them until a transport is started there.
+    fn book(n: u64) -> BTreeMap<ServerId, SocketAddr> {
+        (1..=n)
             .map(|i| {
                 let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-                let addr = l.local_addr().expect("addr");
-                drop(l);
-                (ServerId(i), addr)
+                (ServerId(i), l.local_addr().expect("addr"))
             })
-            .collect();
-        let book: BTreeMap<ServerId, SocketAddr> = listeners.iter().copied().collect();
-        listeners
-            .iter()
-            .map(|&(id, addr)| Transport::start(id, addr, book.clone()).expect("start"))
             .collect()
+    }
+
+    fn start(id: u64, book: &BTreeMap<ServerId, SocketAddr>) -> Transport {
+        Transport::start(ServerId(id), book[&ServerId(id)], book.clone()).expect("start")
+    }
+
+    fn mesh(n: u64) -> Vec<Transport> {
+        let book = book(n);
+        (1..=n).map(|id| start(id, &book)).collect()
+    }
+
+    /// One complete send: cork `msg` for `peer`, then the batch boundary.
+    fn ship(t: &Transport, peer: ServerId, msg: TransportMsg) {
+        t.queue(peer, msg);
+        t.flush();
+    }
+
+    fn ack(counter: u32) -> TransportMsg {
+        TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), counter) })
+    }
+
+    fn ping() -> TransportMsg {
+        TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO })
+    }
+
+    /// Ships pings `from → to` until one arrives (`queue` drops while
+    /// disconnected), then drains `to` until it is quiet.
+    fn bring_up(from: &Transport, to: &Transport) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            ship(from, to.id(), ping());
+            if wait_msg(to, Duration::from_millis(300)).is_some() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "channel never came up");
+        }
+        while wait_msg(to, Duration::from_millis(50)).is_some() {}
+    }
+
+    /// Polls `t`'s metrics until `counter` reaches `at_least`.
+    fn wait_counter(t: &Transport, counter: &str, at_least: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while t.metrics().snapshot().counter(counter) < at_least {
+            assert!(Instant::now() < deadline, "{counter} never reached {at_least}");
+            thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]
     fn dial_failures_surface_as_connect_failed_events() {
         // Peer 2's address is reserved but nothing listens on it.
-        let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let a1 = l1.local_addr().expect("addr");
-        drop(l1);
-        let l2 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let a2 = l2.local_addr().expect("addr");
-        drop(l2);
-        let book: BTreeMap<ServerId, SocketAddr> =
-            [(ServerId(1), a1), (ServerId(2), a2)].into_iter().collect();
-        let t = Transport::start(ServerId(1), a1, book).expect("start");
-        t.send(ServerId(2), TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
+        let t = start(1, &book(2));
+        ship(&t, ServerId(2), ack(1));
 
         let mut attempts = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -541,7 +462,7 @@ mod tests {
         // Retry: the receiver's accept loop may still be settling.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(msg.clone()));
+            ship(&mesh[0], ServerId(2), TransportMsg::Zab(msg.clone()));
             if let Some(TransportEvent::Message { from, msg: got }) =
                 wait_msg(&mesh[1], Duration::from_millis(300))
             {
@@ -563,7 +484,8 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut got = [false; 2];
         loop {
-            mesh[0].broadcast(TransportMsg::Zab(msg.clone()));
+            mesh[0].queue_broadcast(&[ServerId(2), ServerId(3)], TransportMsg::Zab(msg.clone()));
+            mesh[0].flush();
             for (i, t) in mesh[1..].iter().enumerate() {
                 if let Some(TransportEvent::Message { from, msg: TransportMsg::Zab(m) }) =
                     wait_msg(t, Duration::from_millis(300))
@@ -583,16 +505,7 @@ mod tests {
     #[test]
     fn oversized_message_breaks_channel_instead_of_panicking() {
         let mesh = mesh(2);
-        // Bring the channel up first.
-        let probe = Message::Ack { zxid: Zxid::new(Epoch(1), 1) };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(probe.clone()));
-            if wait_msg(&mesh[1], Duration::from_millis(300)).is_some() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "channel never came up");
-        }
+        bring_up(&mesh[0], &mesh[1]);
         // A payload over MAX_FRAME_LEN cannot be framed. The contract is
         // a *visible* channel break (FIFO must never silently skip), not
         // a panic on the sending thread.
@@ -608,7 +521,7 @@ mod tests {
                 .collect(),
         };
         let dropped_before = mesh[0].metrics().snapshot().counter("transport.send_dropped");
-        mesh[0].send(ServerId(2), TransportMsg::Zab(giant));
+        ship(&mesh[0], ServerId(2), TransportMsg::Zab(giant));
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match wait_msg(&mesh[0], Duration::from_millis(300)) {
@@ -626,25 +539,15 @@ mod tests {
     #[test]
     fn corked_batch_flushes_in_order() {
         let mesh = mesh(2);
-        // Establish the channel first: queue() drops while disconnected.
-        let probe = Message::Ack { zxid: Zxid::new(Epoch(1), 1) };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(probe.clone()));
-            if wait_msg(&mesh[1], Duration::from_millis(300)).is_some() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "channel never came up");
-        }
+        bring_up(&mesh[0], &mesh[1]);
         // Cork a burst, then release it with one flush; every frame must
         // arrive, in order, behind that single batch boundary.
         let n = 32u32;
         for i in 0..n {
-            mesh[0].queue(
-                ServerId(2),
-                TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), i + 10) }),
-            );
+            mesh[0].queue(ServerId(2), ack(i + 10));
         }
+        // Nothing leaves before the batch boundary.
+        assert!(wait_msg(&mesh[1], Duration::from_millis(200)).is_none(), "sent before flush");
         mesh[0].flush();
         for i in 0..n {
             match wait_msg(&mesh[1], Duration::from_secs(5)) {
@@ -665,18 +568,48 @@ mod tests {
         assert!(max_batch >= 2, "expected a coalesced flush, max batch = {max_batch}");
     }
 
+    /// The "no stale traffic" contract of `Outbound::queue`: frames corked
+    /// against one incarnation of a channel die with it — counted as
+    /// dropped, never delivered on the redialled connection.
+    #[test]
+    fn corked_frames_die_with_their_channel_and_are_counted() {
+        let book = book(2);
+        let sender = start(1, &book);
+        let receiver = start(2, &book);
+        bring_up(&sender, &receiver);
+        let corked = 5u32;
+        for i in 0..corked {
+            sender.queue(ServerId(2), ack(i + 10));
+        }
+        let dropped_before = sender.metrics().snapshot().counter("transport.send_dropped");
+        // Peer 2 dies; the sender's wire loop sees EOF and tears down.
+        drop(receiver);
+        wait_counter(&sender, "transport.disconnects.2", 1);
+        let dropped_after = sender.metrics().snapshot().counter("transport.send_dropped");
+        assert_eq!(dropped_after, dropped_before + u64::from(corked), "cleared frames uncounted");
+        // Peer 2 comes back on the same address; the late flush and the
+        // fresh channel must carry pings only, never the dead acks.
+        let receiver = start(2, &book);
+        sender.flush();
+        bring_up(&sender, &receiver);
+        ship(&sender, ServerId(2), ping());
+        let mut pings = 0;
+        while let Some(ev) = wait_msg(&receiver, Duration::from_millis(200)) {
+            match ev {
+                TransportEvent::Message {
+                    msg: TransportMsg::Zab(Message::Ping { .. }), ..
+                } => pings += 1,
+                TransportEvent::Message { msg, .. } => panic!("stale traffic delivered: {msg:?}"),
+                _ => {}
+            }
+        }
+        assert_eq!(pings, 1, "the fresh channel must deliver");
+    }
+
     #[test]
     fn per_peer_metrics_count_frames_and_bytes() {
         let mesh = mesh(2);
-        let msg = Message::Ack { zxid: Zxid::new(Epoch(3), 11) };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(msg.clone()));
-            if wait_msg(&mesh[1], Duration::from_millis(300)).is_some() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "message never arrived");
-        }
+        bring_up(&mesh[0], &mesh[1]);
         let sender = mesh[0].metrics().snapshot();
         assert!(sender.counter("transport.connects.2") >= 1);
         assert!(sender.counter("transport.frames_out.2") >= 1);
@@ -689,24 +622,9 @@ mod tests {
 
     #[test]
     fn connect_failures_are_counted() {
-        let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let a1 = l1.local_addr().expect("addr");
-        drop(l1);
-        let l2 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let a2 = l2.local_addr().expect("addr");
-        drop(l2);
-        let book: BTreeMap<ServerId, SocketAddr> =
-            [(ServerId(1), a1), (ServerId(2), a2)].into_iter().collect();
-        let t = Transport::start(ServerId(1), a1, book).expect("start");
-        t.send(ServerId(2), TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if t.metrics().snapshot().counter("transport.connect_failures.2") >= 1 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "dial failure never counted");
-            thread::sleep(Duration::from_millis(20));
-        }
+        let t = start(1, &book(2));
+        ship(&t, ServerId(2), ack(1));
+        wait_counter(&t, "transport.connect_failures.2", 1);
     }
 
     #[test]
@@ -723,7 +641,7 @@ mod tests {
         };
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[1].send(ServerId(1), TransportMsg::Election(n));
+            ship(&mesh[1], ServerId(1), TransportMsg::Election(n));
             if let Some(TransportEvent::Message { from, msg }) =
                 wait_msg(&mesh[0], Duration::from_millis(300))
             {
@@ -742,19 +660,11 @@ mod tests {
     fn fifo_order_preserved_under_burst() {
         let mesh = mesh(2);
         let count = 500u32;
-        // Wait until the link is up (first message observed), then burst.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            mesh[0]
-                .send(ServerId(2), TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
-            if wait_msg(&mesh[1], Duration::from_millis(200)).is_some() {
-                break;
-            }
-            assert!(Instant::now() < deadline);
-        }
+        bring_up(&mesh[0], &mesh[1]);
         for c in 1..=count {
             let txn = Txn::new(Zxid::new(Epoch(1), c), c.to_le_bytes().to_vec());
-            mesh[0].send(
+            ship(
+                &mesh[0],
                 ServerId(2),
                 TransportMsg::Zab(Message::Propose { txn, commit_up_to: Zxid::ZERO }),
             );
@@ -790,48 +700,24 @@ mod tests {
     #[test]
     fn send_to_unknown_peer_is_dropped_silently_and_counted() {
         let mesh = mesh(1);
-        mesh[0].send(ServerId(99), TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
+        ship(&mesh[0], ServerId(99), ping());
         assert!(wait_msg(&mesh[0], Duration::from_millis(100)).is_none());
         // The no-panic contract holds, but the drop is no longer silent
         // to operators.
         assert_eq!(mesh[0].metrics().snapshot().counter("transport.send_dropped"), 1);
-        mesh[0].broadcast_to(
-            &[ServerId(99), ServerId(1)],
-            TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }),
-        );
+        mesh[0].queue_broadcast(&[ServerId(99), ServerId(1)], ping());
+        mesh[0].flush();
         assert_eq!(mesh[0].metrics().snapshot().counter("transport.send_dropped"), 2);
     }
 
     #[test]
     fn send_while_peer_unreachable_is_counted_as_dropped() {
-        let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let a1 = l1.local_addr().expect("addr");
-        drop(l1);
-        let l2 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let a2 = l2.local_addr().expect("addr");
-        drop(l2);
-        let book: BTreeMap<ServerId, SocketAddr> =
-            [(ServerId(1), a1), (ServerId(2), a2)].into_iter().collect();
-        let t = Transport::start(ServerId(1), a1, book).expect("start");
+        let t = start(1, &book(2));
         // Wait until the first dial has already failed (peer marked
         // unreachable), then send into the backoff window.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if t.metrics().snapshot().counter("transport.connect_failures.2") >= 1 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "dial failure never counted");
-            thread::sleep(Duration::from_millis(10));
-        }
-        t.send(ServerId(2), TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if t.metrics().snapshot().counter("transport.send_dropped") >= 1 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "drop never counted");
-            thread::sleep(Duration::from_millis(10));
-        }
+        wait_counter(&t, "transport.connect_failures.2", 1);
+        ship(&t, ServerId(2), ping());
+        wait_counter(&t, "transport.send_dropped", 1);
     }
 
     /// Satellite: deterministic shutdown. Every mesh's I/O threads must
@@ -840,13 +726,18 @@ mod tests {
     /// timeout if teardown ever raced.
     #[test]
     fn shutdown_hammer_creates_and_drops_fifty_meshes() {
+        let everyone = [ServerId(1), ServerId(2), ServerId(3)];
         for round in 0..50 {
             let m = mesh(3);
-            // Exercise all states: some traffic in flight, some queued,
-            // some meshes dropped before any connection establishes.
-            if round % 2 == 0 {
+            // Exercise all states: some traffic in flight, some corked and
+            // never flushed, some meshes dropped before any connection
+            // establishes.
+            if round % 3 != 2 {
                 for t in &m {
-                    t.broadcast(TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
+                    t.queue_broadcast(&everyone, ping());
+                    if round % 3 == 0 {
+                        t.flush();
+                    }
                 }
             }
             drop(m);

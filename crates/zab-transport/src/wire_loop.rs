@@ -3,18 +3,20 @@
 //! stream, and any outbound socket that went `WouldBlock` — via
 //! nonblocking TCP and `poll(2)`.
 //!
-//! Sends do **not** pass through this thread. [`Outbound::offer`] runs on
-//! the caller: it takes the peer's write lock, appends the refcounted
-//! frame handle, and flushes straight into the socket. Only when the
-//! socket can't take more (`WouldBlock`) does the caller poke the waker so
-//! the loop arms `POLLOUT` and drains the residue as readiness arrives.
+//! Sends do **not** pass through this thread. [`Outbound::queue`] and
+//! [`Outbound::flush_pending`] run on the caller: the first corks a
+//! refcounted frame handle into the peer's write buffer, the second takes
+//! the peer's write lock and flushes the batch straight into the socket.
+//! Only when the socket can't take more (`WouldBlock`) does the caller
+//! poke the waker so the loop arms `POLLOUT` and drains the residue as
+//! readiness arrives.
 //!
 //! ```text
 //!  user threads                        the wire loop (1 thread)
 //!  ────────────                        ───────────────────────────
-//!  send()/broadcast()                  poll(waker, listener, conns…)
+//!  queue()… flush()                    poll(waker, listener, conns…)
 //!    │ lock peer ──► wbuf ──► socket     │
-//!    │    (inline vectored flush)        ├─ accept new inbound conns
+//!    │    (one vectored write / batch)   ├─ accept new inbound conns
 //!    └─ wake only on WouldBlock ────►    ├─ read frames → events_tx
 //!                                        ├─ finish / schedule dials
 //!                                        └─ drain blocked write buffers
@@ -88,19 +90,10 @@ struct OutInner {
     wbuf: WriteBuf,
 }
 
-/// What [`Outbound::offer`] concluded, from the caller's perspective.
-pub(crate) enum Offer {
-    /// Queued (and possibly already written in full).
-    Sent,
-    /// Queued, but the socket blocked or broke: wake the loop.
-    SentNeedsWake,
-    /// Peer disconnected — the frame was dropped, per the contract.
-    Dropped,
-}
-
 /// One peer's outbound half, shared between sender threads and the wire
-/// loop. Senders flush inline through [`Outbound::offer`]; the loop dials,
-/// tears down, and drains whatever a sender left behind on `WouldBlock`.
+/// loop. Senders cork with [`Outbound::queue`] and write with
+/// [`Outbound::flush_pending`]; the loop dials, tears down, and drains
+/// whatever a flush left behind on `WouldBlock`.
 /// The instrument names are unchanged from the thread-per-peer transport,
 /// so dashboards and BENCH history stay comparable.
 pub(crate) struct Outbound {
@@ -120,6 +113,9 @@ pub(crate) struct Outbound {
     queue_depth: Arc<Gauge>,
     batch_frames: Arc<Histogram>,
     batch_bytes: Arc<Histogram>,
+    /// The node-wide `transport.send_dropped`: every frame handed to this
+    /// half that never reached the socket.
+    send_dropped: Arc<Counter>,
 }
 
 impl Outbound {
@@ -137,54 +133,29 @@ impl Outbound {
             queue_depth: metrics.gauge(&peer_metric("transport.send_queue_depth", id.0)),
             batch_frames: metrics.histogram(&peer_metric("transport.batch_frames", id.0)),
             batch_bytes: metrics.histogram(&peer_metric("transport.batch_bytes", id.0)),
-        }
-    }
-
-    /// Queues a frame and flushes inline when the channel is up. Returns
-    /// [`Offer::Dropped`] — without queueing — while disconnected: the
-    /// protocol treats a down channel as broken and resynchronizes, so
-    /// buffering for a dead peer would only deliver stale traffic. Frames
-    /// queued while a dial is in flight are kept (they go out right
-    /// behind the handshake), matching the old transport, where the dial
-    /// happened synchronously under the first queued message.
-    pub(crate) fn offer(&self, frame: Frame) -> Offer {
-        let mut g = self.inner.lock();
-        match g.conn {
-            ConnState::Idle { .. } => Offer::Dropped,
-            ConnState::Connecting { .. } => {
-                g.wbuf.push_frame(frame);
-                self.queue_depth.set(g.wbuf.queued_frames() as i64);
-                Offer::Sent
-            }
-            ConnState::Up { .. } => {
-                g.wbuf.push_frame(frame);
-                if self.flush_locked(&mut g) {
-                    Offer::Sent
-                } else {
-                    // Flag before the caller wakes the loop, so the sweep
-                    // that the wake triggers is guaranteed to lock us.
-                    self.attention.store(true, Ordering::Release);
-                    Offer::SentNeedsWake
-                }
-            }
+            send_dropped: metrics.counter("transport.send_dropped"),
         }
     }
 
     /// Corks a frame: appends to the write buffer *without* flushing, so
     /// a batch of sends — every PROPOSE the leader emits while draining
     /// its event backlog, every ACK a follower owes for a burst — leaves
-    /// in one vectored write when [`Outbound::flush_pending`] runs. This
-    /// is what the old writer thread's channel backlog used to provide
-    /// for free; here the batch boundary is explicit.
-    pub(crate) fn queue(&self, frame: Frame) -> Offer {
+    /// in one vectored write when [`Outbound::flush_pending`] runs.
+    ///
+    /// While disconnected the frame is dropped (and counted) instead: the
+    /// protocol treats a down channel as broken and resynchronizes, so
+    /// buffering for a dead peer would only deliver stale traffic. Frames
+    /// queued while a dial is in flight are kept (they go out right
+    /// behind the handshake) and die with the dial if it fails.
+    pub(crate) fn queue(&self, frame: Frame) {
         let mut g = self.inner.lock();
         if matches!(g.conn, ConnState::Idle { .. }) {
-            return Offer::Dropped;
+            self.send_dropped.inc();
+            return;
         }
         g.wbuf.push_frame(frame);
         self.queue_depth.set(g.wbuf.queued_frames() as i64);
         self.has_pending.store(true, Ordering::Release);
-        Offer::Sent
     }
 
     /// Flushes whatever [`Outbound::queue`] corked since the last batch
@@ -260,6 +231,15 @@ impl Outbound {
         } else {
             false
         }
+    }
+
+    /// Channel teardown: every frame still queued dies with the channel,
+    /// each counted as a send that went nowhere.
+    fn drop_queued(&self, wbuf: &mut WriteBuf) {
+        self.send_dropped.add(wbuf.queued_frames() as u64);
+        wbuf.clear();
+        self.queue_depth.set(0);
+        self.armed_pollout.store(false, Ordering::Release);
     }
 
     /// Closes any live socket and drops queued frames (final shutdown).
@@ -379,9 +359,7 @@ impl Peer {
         events_tx: &Sender<TransportEvent>,
     ) {
         let attempt = self.backoff.attempt();
-        g.wbuf.clear();
-        self.out.queue_depth.set(0);
-        self.out.armed_pollout.store(false, Ordering::Release);
+        self.out.drop_queued(&mut g.wbuf);
         let next_attempt = Instant::now() + self.backoff.next_delay();
         self.phase = Phase::Idle;
         self.wake_at = Some(next_attempt);
@@ -397,9 +375,7 @@ impl Peer {
     /// A live connection broke (write error or read-side EOF/reset).
     /// One immediate re-dial, then backoff — as before the rewrite.
     fn disconnect(&mut self, g: &mut OutInner, events_tx: &Sender<TransportEvent>) {
-        g.wbuf.clear();
-        self.out.queue_depth.set(0);
-        self.out.armed_pollout.store(false, Ordering::Release);
+        self.out.drop_queued(&mut g.wbuf);
         let next_attempt = Instant::now();
         self.phase = Phase::Idle;
         self.wake_at = Some(next_attempt);
