@@ -20,7 +20,15 @@
 //! 2. **Ordered durability.** [`Action::Persist`] requests must be applied
 //!    to stable storage in emission order; [`Input::Persisted`] for a token
 //!    implies every earlier token is durable too (group commit is
-//!    explicitly allowed — ack only the latest token of a batch).
+//!    explicitly allowed — ack only the latest token of a batch). The
+//!    order holds *across* incarnations of one process: a new automaton's
+//!    writes queue behind those its predecessor left in flight, which is
+//!    what lets the predecessor hand its state over in memory
+//!    ([`crate::Zab::into_persistent_state`]) instead of through the disk.
+//!    Completions are incarnation-scoped: each automaton numbers its
+//!    tokens from 1, so a completion must only ever reach the automaton
+//!    that emitted the request (`zab_election::Process` renumbers tokens
+//!    process-wide and drops the stale ones).
 //! 3. **Time.** The driver feeds [`Input::Tick`] with a monotone
 //!    millisecond clock at least every few milliseconds of protocol time;
 //!    all timeouts derive from it.
@@ -33,7 +41,7 @@ use bytes::Bytes;
 /// Token correlating a durability request with its completion.
 ///
 /// Tokens are issued in strictly increasing order per automaton; completing
-/// token *t* acknowledges every request with token ≤ *t*.
+/// token *t* acknowledges every request of that automaton with token ≤ *t*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PersistToken(pub u64);
 
@@ -193,8 +201,9 @@ pub enum Action {
     },
 }
 
-/// Durable protocol state handed to a new automaton incarnation after
-/// recovery (the paper's persistent variables).
+/// Protocol state handed to a new automaton incarnation (the paper's
+/// persistent variables): read from storage when the process boots, passed
+/// on in memory by the previous incarnation after that.
 #[derive(Debug, Clone, Default)]
 pub struct PersistentState {
     /// `f.p`: last epoch for which this process acknowledged `NEWEPOCH`.

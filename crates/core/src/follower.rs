@@ -199,6 +199,15 @@ impl Follower {
         }
     }
 
+    /// See [`crate::Zab::into_persistent_state`].
+    pub(crate) fn into_persistent_state(self) -> PersistentState {
+        PersistentState {
+            accepted_epoch: self.accepted_epoch,
+            current_epoch: self.current_epoch,
+            history: self.history.without_commits(),
+        }
+    }
+
     fn token(&mut self, purpose: Pending) -> PersistToken {
         self.next_token += 1;
         let t = PersistToken(self.next_token);
@@ -332,9 +341,12 @@ impl Follower {
         if !self.enter_sync(out) {
             return;
         }
+        // Checked whole before any of it is accepted: the history only
+        // changes together with the `Persist` that makes the change durable
+        // (the next incarnation inherits it in memory, not from the log).
         let mut appended = Vec::new();
+        let mut last = self.history.last_zxid();
         for txn in txns {
-            let last = self.history.last_zxid();
             if txn.zxid <= last {
                 // A retransmitted chunk (the leader repeats a transmission
                 // whose ack got lost) overlaps what we already hold; the
@@ -349,11 +361,14 @@ impl Follower {
                 self.abdicate("sync stream leaves a gap", out);
                 return;
             }
-            self.history.append(txn.clone());
+            last = txn.zxid;
             appended.push(txn);
         }
         if appended.is_empty() {
             return;
+        }
+        for txn in &appended {
+            self.history.append(txn.clone());
         }
         let token = self.token_unpending();
         out.push(Action::Persist { token, req: PersistRequest::AppendTxns(appended) });
@@ -386,7 +401,6 @@ impl Follower {
             self.abdicate("TRUNC to unknown point; truncated and rejoining", out);
             return;
         }
-        self.history.truncate_to(truncate_to);
         if self.delivered_to > truncate_to {
             // The leader asked us to discard transactions we already
             // delivered: they were committed at a quorum, so a correct
@@ -394,6 +408,7 @@ impl Follower {
             self.abdicate("TRUNC below delivery watermark", out);
             return;
         }
+        self.history.truncate_to(truncate_to);
         let token = self.token_unpending();
         out.push(Action::Persist { token, req: PersistRequest::TruncateLog(truncate_to) });
         self.on_sync_txns(txns, out);

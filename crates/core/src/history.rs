@@ -82,6 +82,14 @@ impl History {
         h
     }
 
+    /// This history as the process's next incarnation receives it: committed
+    /// watermark back at the base, as [`History::from_recovered`] yields for
+    /// a log read back from storage (which records no watermark).
+    pub(crate) fn without_commits(mut self) -> History {
+        self.last_committed = self.base;
+        self
+    }
+
     /// The compaction point: transactions at or below this zxid live only
     /// in the snapshot.
     pub fn base(&self) -> Zxid {

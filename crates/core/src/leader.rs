@@ -425,11 +425,6 @@ impl Leader {
         (l, out)
     }
 
-    /// This leader's server id.
-    pub fn id(&self) -> ServerId {
-        self.id
-    }
-
     /// Injects the instrument bundle this automaton records into,
     /// replacing the default standalone instruments. Call right after
     /// construction, before driving inputs.
@@ -499,6 +494,15 @@ impl Leader {
             accepted_epoch: self.accepted_epoch,
             current_epoch: self.current_epoch,
             history: self.history.clone(),
+        }
+    }
+
+    /// See [`crate::Zab::into_persistent_state`].
+    pub(crate) fn into_persistent_state(self) -> PersistentState {
+        PersistentState {
+            accepted_epoch: self.accepted_epoch,
+            current_epoch: self.current_epoch,
+            history: self.history.without_commits(),
         }
     }
 

@@ -72,10 +72,12 @@ pub use leader::{FollowerLag, Leader, LeaderStatus, SyncProgress};
 pub use messages::Message;
 pub use metrics::CoreMetrics;
 pub use types::{Epoch, ServerId, Txn, Zxid};
+pub use zab_trace::Tracer;
 
 /// The role a process plays after an election, wrapping the corresponding
-/// automaton. Drivers construct one per election outcome and feed it
-/// [`Input`]s until it emits [`Action::GoToElection`].
+/// automaton. One is constructed per election outcome and fed [`Input`]s
+/// until it emits [`Action::GoToElection`] (`zab_election::Process` does
+/// both on a driver's behalf).
 // One automaton exists per process, never in collections, so the
 // Leader/Follower size gap is irrelevant and boxing would only add an
 // indirection to every input.
@@ -130,36 +132,10 @@ impl Zab {
     /// Injects the flight-recorder handle the automaton records lifecycle
     /// events into (see `zab-trace`). Call right after construction,
     /// before driving inputs.
-    pub fn set_tracer(&mut self, tracer: zab_trace::Tracer) {
+    pub fn set_tracer(&mut self, tracer: Tracer) {
         match self {
             Zab::Leader(l) => l.set_tracer(tracer),
             Zab::Follower(f) => f.set_tracer(tracer),
-        }
-    }
-
-    /// This process's server id.
-    pub fn id(&self) -> ServerId {
-        match self {
-            Zab::Leader(l) => l.id(),
-            Zab::Follower(f) => f.id(),
-        }
-    }
-
-    /// True if this process is an established primary.
-    pub fn is_established_leader(&self) -> bool {
-        matches!(self, Zab::Leader(l) if l.is_established())
-    }
-
-    /// True if this process is an activated (synced) follower.
-    pub fn is_active_follower(&self) -> bool {
-        matches!(self, Zab::Follower(f) if f.status() == FollowerStatus::Active)
-    }
-
-    /// Tail of the accepted history.
-    pub fn last_zxid(&self) -> Zxid {
-        match self {
-            Zab::Leader(l) => l.last_zxid(),
-            Zab::Follower(f) => f.last_zxid(),
         }
     }
 
@@ -176,6 +152,23 @@ impl Zab {
         match self {
             Zab::Leader(l) => l.persistent_state(),
             Zab::Follower(f) => f.persistent_state(),
+        }
+    }
+
+    /// Ends the incarnation and hands its protocol state — the paper's
+    /// persistent variables — to the next one by move, with the committed
+    /// watermark back at the history's base.
+    ///
+    /// This is what a driver reading storage back at this instant would
+    /// get, without the read: each automaton changes its epochs and its
+    /// history only in the `handle()` call that also emits the matching
+    /// [`Action::Persist`], and ordered durability (driver contract, item
+    /// 2) queues the next incarnation's writes behind this one's. Only a
+    /// crash has to ask the disk.
+    pub fn into_persistent_state(self) -> PersistentState {
+        match self {
+            Zab::Leader(l) => l.into_persistent_state(),
+            Zab::Follower(f) => f.into_persistent_state(),
         }
     }
 

@@ -20,6 +20,11 @@
 //! [`ElectionAction::Decided`]; afterwards the automaton keeps answering
 //! lookers until [`Election::restart`] re-enters a new round.
 //!
+//! Drivers do not wire the two automata together themselves: [`Process`]
+//! owns an [`Election`] and the `zab-core` automaton of the elected role and
+//! performs the hand-off between them in both directions, inside the sans-io
+//! boundary.
+//!
 //! # Example
 //!
 //! ```
@@ -40,6 +45,10 @@
 //! )));
 //! # let _ = el.handle(zab_election::ElectionInput::Tick { now_ms: 1 });
 //! ```
+
+pub mod process;
+
+pub use process::{Process, ProcessOutput};
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -17,8 +17,8 @@
 use crate::fault::{check_fault, FaultOp, FaultPlan};
 use crate::metrics::LogMetrics;
 use crate::record::{
-    decode_epochs, decode_snapshot, encode_epochs, encode_log_record, encode_snapshot,
-    log_record_len, log_record_prefix, scan_log, RECORD_PREFIX_LEN,
+    decode_epochs, decode_snapshot, encode_epochs, encode_snapshot, log_record_len,
+    log_record_prefix, scan_log, RECORD_PREFIX_LEN,
 };
 use crate::{Recovered, Storage, StorageError};
 use bytes::Bytes;
@@ -118,7 +118,9 @@ impl FileStorage {
         }
         log.seek(SeekFrom::End(0))?;
 
-        let base = snapshot.as_ref().map_or(Zxid::ZERO, |&(_, z)| z);
+        // Records at or below the snapshot's zxid are leftovers of a
+        // compaction cut short between its two renames: indexed like any
+        // other, ignored by recover(), dropped by the next compaction.
         let mut index = Vec::with_capacity(scan.txns.len());
         let mut offset = 0u64;
         let mut prev = Zxid::ZERO;
@@ -133,9 +135,6 @@ impl FileStorage {
             offset += log_record_len(txn);
             index.push((txn.zxid, offset));
         }
-        // Entries at or below the snapshot base are compacted leftovers;
-        // they are ignored by recover() but harmless in the file.
-        let _ = base;
 
         Ok(FileStorage {
             dir,
@@ -199,24 +198,36 @@ impl FileStorage {
             .unwrap_or_else(|| self.snapshot.as_ref().map_or(Zxid::ZERO, |&(_, z)| z))
     }
 
-    /// Rewrites the log with only the given transactions (used by compact).
-    fn rewrite_log(&mut self, txns: &[Txn]) -> Result<(), StorageError> {
+    /// File offset where the indexed records end.
+    fn log_end(&self) -> u64 {
+        self.index.last().map_or(0, |&(_, end)| end)
+    }
+
+    /// Replaces the log with its own byte range `[from, end of records)`,
+    /// `from` being a record boundary. The bytes are copied as they are —
+    /// never decoded, re-encoded or re-checksummed — so the cost is that of
+    /// the retained suffix, and whatever the prefix holds is not looked at.
+    fn rewrite_log(&mut self, from: u64) -> Result<(), StorageError> {
+        let len = self.log_end() - from;
         let tmp = self.dir.join("log.tmp");
         let mut f = File::create(&tmp)?;
-        let mut index = Vec::with_capacity(txns.len());
-        let mut offset = 0u64;
-        for txn in txns {
-            let rec = encode_log_record(txn);
-            f.write_all(&rec)?;
-            offset += rec.len() as u64;
-            index.push((txn.zxid, offset));
+        let mut src = File::open(self.dir.join("log"))?;
+        src.seek(SeekFrom::Start(from))?;
+        if io::copy(&mut src.take(len), &mut f)? != len {
+            return Err(StorageError::Corrupt(format!(
+                "log is shorter than its index: no {len} bytes after offset {from}"
+            )));
         }
         f.sync_data()?;
         drop(f);
         fs::rename(&tmp, self.dir.join("log"))?;
         sync_dir(&self.dir)?;
         self.log = OpenOptions::new().read(true).append(true).open(self.dir.join("log"))?;
-        self.index = index;
+        let dropped = self.index.partition_point(|&(_, end)| end <= from);
+        self.index.drain(..dropped);
+        for (_, end) in &mut self.index {
+            *end -= from;
+        }
         self.dirty = false;
         Ok(())
     }
@@ -314,7 +325,7 @@ impl Storage for FileStorage {
             bufs.push(&txn.data);
         }
         write_all_vectored(&mut self.log, &bufs)?;
-        let mut end = self.index.last().map_or(0, |&(_, o)| o);
+        let mut end = self.log_end();
         for txn in txns {
             end += log_record_len(txn);
             self.index.push((txn.zxid, end));
@@ -354,17 +365,18 @@ impl Storage for FileStorage {
         self.check(FaultOp::SnapshotReplace)?;
         self.snapshot = Some((snapshot, zxid));
         self.write_snapshot_file()?;
-        self.rewrite_log(&[])
+        self.rewrite_log(self.log_end())
     }
 
     fn compact(&mut self, snapshot: Bytes, zxid: Zxid) -> Result<(), StorageError> {
         self.check(FaultOp::Compact)?;
-        // Collect the suffix beyond the compaction point before rewriting.
-        let recovered = self.recover()?;
-        let suffix: Vec<Txn> = recovered.history.txns_after(zxid).to_vec();
+        // The suffix beyond the compaction point is a byte range of the
+        // file: the index already knows where every record ends.
+        let below = self.index.partition_point(|&(z, _)| z <= zxid);
+        let cut = if below == 0 { 0 } else { self.index[below - 1].1 };
         self.snapshot = Some((snapshot, zxid));
         self.write_snapshot_file()?;
-        self.rewrite_log(&suffix)
+        self.rewrite_log(cut)
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -426,6 +438,7 @@ impl Storage for FileStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::encode_log_record;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);

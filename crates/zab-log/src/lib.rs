@@ -183,7 +183,9 @@ pub trait Storage {
     fn flush(&mut self) -> Result<(), StorageError>;
 
     /// Reads back the durable state (buffered-but-unflushed writes are
-    /// *included*; they are lost only on crash).
+    /// *included*; they are lost only on crash). Called once, at process
+    /// start: role changes inside a live process pass the protocol state on
+    /// in memory, and compaction works from the record index.
     ///
     /// # Errors
     /// Returns [`StorageError::Corrupt`] when validation fails beyond what

@@ -63,7 +63,8 @@ pub fn log_record_len(txn: &Txn) -> u64 {
 
 /// Encodes one transaction as a contiguous checksummed log record (the
 /// payload is copied exactly once, into the returned buffer).
-pub fn encode_log_record(txn: &Txn) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode_log_record(txn: &Txn) -> Vec<u8> {
     let prefix = log_record_prefix(txn);
     let mut out = Vec::with_capacity(RECORD_PREFIX_LEN + txn.data.len());
     out.extend_from_slice(&prefix);

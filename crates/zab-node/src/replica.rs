@@ -17,8 +17,8 @@ use zab_core::{
     Action, CoreMetrics, DeliveryHash, Epoch, Input, Message, PersistRequest, PersistToken,
     ServerId, Topology, Txn, Zab, Zxid,
 };
-use zab_election::{Election, ElectionAction, ElectionInput, Vote};
-use zab_log::{FileStorage, LogMetrics, MemStorage, Storage};
+use zab_election::{Process, ProcessOutput};
+use zab_log::{FileStorage, LogMetrics, MemStorage, Recovered, Storage, StorageError};
 use zab_metrics::{Clock, Registry, Snapshot, WallClock};
 use zab_trace::{Recorder, Stage, TraceEvent, Tracer};
 use zab_transport::{Transport, TransportEvent, TransportMsg};
@@ -167,8 +167,8 @@ pub struct Replica<A: Application> {
 }
 
 impl<A: Application> Replica<A> {
-    /// Boots a replica: recovers storage, joins the TCP mesh, starts
-    /// leader election.
+    /// Boots a replica: recovers storage (the only time it reads the log
+    /// back), joins the TCP mesh, starts leader election.
     ///
     /// # Errors
     ///
@@ -187,7 +187,9 @@ impl<A: Application> Replica<A> {
     ///
     /// # Errors
     ///
-    /// Fails on socket bind errors.
+    /// Fails on socket bind errors. A storage that cannot be recovered is
+    /// not an error here: the replica comes up [`Role::Faulted`] and says
+    /// why in a [`NodeEvent::StorageFault`].
     pub fn start_with_storage(
         cfg: NodeConfig,
         app: A,
@@ -213,6 +215,10 @@ impl<A: Application> Replica<A> {
                 .with_clock(Arc::clone(&clock))
                 .with_tracer(tracer.clone()),
         );
+        // The one read of the log in this process's life, before any
+        // thread exists: from here on the disk thread owns the storage
+        // outright and the event loop never looks at it again.
+        let recovered = storage.recover();
         let transport = Transport::start_traced(
             id,
             listen,
@@ -220,7 +226,6 @@ impl<A: Application> Replica<A> {
             Arc::clone(&metrics),
             tracer.clone(),
         )?;
-        let storage = Arc::new(Mutex::new(storage));
 
         let (commands_tx, commands_rx) = unbounded();
         let (events_tx, events_rx) = unbounded();
@@ -257,7 +262,6 @@ impl<A: Application> Replica<A> {
 
         // Disk thread: group commit — drain everything queued, apply,
         // flush once, complete the batch's last token.
-        let disk_storage = Arc::clone(&storage);
         let disk_thread = std::thread::spawn(move || {
             while let Ok(first) = disk_rx.recv() {
                 let mut batch = Vec::new();
@@ -281,13 +285,10 @@ impl<A: Application> Replica<A> {
                 }
                 if !batch.is_empty() {
                     let last = batch.last().expect("nonempty").0;
-                    let failed = {
-                        let mut s = disk_storage.lock();
-                        batch
-                            .iter()
-                            .find_map(|(_, req)| s.apply(req).err())
-                            .or_else(|| s.flush().err())
-                    };
+                    let failed = batch
+                        .iter()
+                        .find_map(|(_, req)| storage.apply(req).err())
+                        .or_else(|| storage.flush().err());
                     if let Some(e) = failed {
                         // Report, then fail-stop: the event loop steps the
                         // replica out of the protocol.
@@ -302,7 +303,7 @@ impl<A: Application> Replica<A> {
                     }
                 }
                 if let Some((snapshot, through)) = compact {
-                    if let Err(e) = disk_storage.lock().compact(snapshot, through) {
+                    if let Err(e) = storage.compact(snapshot, through) {
                         let _ = done_tx.send(DiskDone::Faulted {
                             context: "compact".to_string(),
                             error: e.to_string(),
@@ -317,9 +318,7 @@ impl<A: Application> Replica<A> {
             id,
             cfg,
             transport,
-            storage,
-            election: None,
-            zab: None,
+            process: None,
             app: Arc::clone(&app),
             disk_tx,
             done_rx,
@@ -345,7 +344,7 @@ impl<A: Application> Replica<A> {
             lag_gauges: BTreeMap::new(),
         };
         let clock_for_replica = Arc::clone(&loop_state.clock);
-        let loop_thread = std::thread::spawn(move || loop_state.run());
+        let loop_thread = std::thread::spawn(move || loop_state.run(recovered));
 
         Ok(Replica {
             id,
@@ -510,9 +509,8 @@ struct EventLoop<A: Application> {
     id: ServerId,
     cfg: NodeConfig,
     transport: Transport,
-    storage: Arc<Mutex<Box<dyn Storage + Send>>>,
-    election: Option<Election>,
-    zab: Option<Zab>,
+    /// Election and protocol automaton; `None` once fail-stopped.
+    process: Option<Process>,
     app: Arc<Mutex<A>>,
     disk_tx: Sender<DiskCmd>,
     done_rx: Receiver<DiskDone>,
@@ -571,14 +569,19 @@ impl<A: Application> EventLoop<A> {
         self.clock.now_millis()
     }
 
+    /// The current automaton incarnation: `None` while looking or faulted.
+    fn zab(&self) -> Option<&Zab> {
+        self.process.as_ref().and_then(Process::zab)
+    }
+
     /// Cap on events absorbed between two transport flushes (and two
     /// ticker checks). Big enough that a saturated leader amortizes its
     /// writes well, small enough that a tick is never more than a few
     /// hundred cheap events late.
     const DRAIN_BATCH: usize = 256;
 
-    fn run(mut self) {
-        self.begin_election();
+    fn run(mut self, recovered: Result<Recovered, StorageError>) {
+        self.boot(recovered);
         // Election notifications queued during startup must hit the wire
         // before the first blocking select, or every node sits corked
         // waiting for everyone else's first move.
@@ -597,8 +600,7 @@ impl<A: Application> EventLoop<A> {
                     // covers every missed period.
                     while ticker.try_recv().is_ok() {}
                     let now_ms = self.now_ms();
-                    self.feed_election(ElectionInput::Tick { now_ms });
-                    self.feed_zab(Input::Tick { now_ms });
+                    self.feed(Input::Tick { now_ms });
                 }
                 recv(self.commands_rx) -> cmd => match cmd {
                     Ok(cmd) => {
@@ -670,7 +672,7 @@ impl<A: Application> EventLoop<A> {
 
     fn on_disk_done(&mut self, done: DiskDone) {
         match done {
-            DiskDone::Flushed(token) => self.feed_zab(Input::Persisted { token }),
+            DiskDone::Flushed(token) => self.feed(Input::Persisted { token }),
             DiskDone::Faulted { context, error } => self.enter_faulted(context, error),
         }
     }
@@ -680,15 +682,18 @@ impl<A: Application> EventLoop<A> {
             TransportEvent::Message { from, msg } => {
                 self.health.lock().peer_ok(from.0);
                 match msg {
-                    TransportMsg::Zab(m) => self.feed_zab(Input::Message { from, msg: m }),
+                    TransportMsg::Zab(m) => self.feed(Input::Message { from, msg: m }),
                     TransportMsg::Election(n) => {
-                        self.feed_election(ElectionInput::Notification { from, notification: n })
+                        let now_ms = self.now_ms();
+                        let Some(p) = self.process.as_mut() else { return };
+                        let outs = p.handle_notification(from, n, now_ms);
+                        self.route(outs);
                     }
                 }
             }
             TransportEvent::PeerDisconnected { peer } => {
                 self.health.lock().peer_down(peer.0);
-                self.feed_zab(Input::PeerDisconnected { peer });
+                self.feed(Input::PeerDisconnected { peer });
             }
             TransportEvent::ConnectFailed { peer, attempt, error } => {
                 self.health.lock().peer_failed(peer.0, attempt);
@@ -707,14 +712,15 @@ impl<A: Application> EventLoop<A> {
             return;
         }
         self.faulted = true;
-        self.zab = None;
-        self.election = None;
+        self.process = None;
         self.node_metrics.storage_faults.inc();
         let _ = self.events_tx.send(NodeEvent::StorageFault { context, error });
     }
 
-    fn begin_election(&mut self) {
-        let recovered = self.storage.lock().recover();
+    /// Builds the process from what storage recovered at start-up. A
+    /// failed recovery, or a snapshot that will not install, fail-stops
+    /// the replica instead, and the rest of the ensemble carries on.
+    fn boot(&mut self, recovered: Result<Recovered, StorageError>) {
         let rec = match recovered {
             Ok(rec) => rec,
             Err(e) => {
@@ -725,21 +731,19 @@ impl<A: Application> EventLoop<A> {
         };
         // Restore the application from the durable snapshot if it is
         // behind the log's compaction point. A missing or malformed
-        // snapshot is a storage fault, not a panic: the replica
-        // fail-stops and the rest of the ensemble carries on.
-        let install_error: Option<String> = {
+        // snapshot is a storage fault, not a panic.
+        let (install_error, applied_to) = {
             let mut app = self.app.lock();
-            if app.applied_to() < rec.history.base() {
-                match rec.snapshot.clone() {
-                    None => Some(format!(
-                        "log starts at {:?} but no snapshot is stored",
-                        rec.history.base()
-                    )),
-                    Some(snap) => app.install(&snap, rec.history.base()).err(),
+            let base = rec.history.base();
+            let error = if app.applied_to() < base {
+                match &rec.snapshot {
+                    None => Some(format!("log starts at {base:?} but no snapshot is stored")),
+                    Some(snap) => app.install(snap, base).err(),
                 }
             } else {
                 None
-            }
+            };
+            (error, app.applied_to())
         };
         if let Some(e) = install_error {
             self.node_metrics.snapshot_install_failures.inc();
@@ -747,190 +751,143 @@ impl<A: Application> EventLoop<A> {
             self.publish_role();
             return;
         }
-        let vote = Vote {
-            peer_epoch: rec.current_epoch,
-            last_zxid: rec.history.last_zxid(),
-            leader: self.id,
-        };
+        let (mut process, outs) = Process::new(
+            self.id,
+            self.cfg.election.clone(),
+            self.cfg.cluster.clone(),
+            rec.into_persistent_state(),
+            applied_to,
+            self.now_ms(),
+        );
+        process.set_instruments(self.core_metrics.clone(), self.tracer.clone());
+        self.process = Some(process);
+        self.route(outs);
+    }
+
+    /// Feeds one input to the process (dropped once fail-stopped).
+    fn feed(&mut self, input: Input) {
         let now_ms = self.now_ms();
-        self.election_started_ms = Some(now_ms);
-        let (election, acts) = Election::new(self.id, self.cfg.election.clone(), vote, now_ms);
-        self.election = Some(election);
-        self.route_election(acts);
+        let Some(p) = self.process.as_mut() else { return };
+        let outs = p.handle(input, now_ms);
+        self.route(outs);
     }
 
-    fn feed_election(&mut self, input: ElectionInput) {
-        let Some(el) = self.election.as_mut() else { return };
-        let acts = el.handle(input);
-        self.route_election(acts);
-    }
-
-    fn route_election(&mut self, acts: Vec<ElectionAction>) {
-        for a in acts {
-            match a {
-                ElectionAction::Send { to, notification } => {
+    fn route(&mut self, outs: Vec<ProcessOutput>) {
+        for o in outs {
+            match o {
+                ProcessOutput::Notify { to, notification } => {
                     self.transport.queue(to, TransportMsg::Election(notification));
                 }
-                ElectionAction::Decided { leader } => {
-                    let recovered = self.storage.lock().recover();
-                    let rec = match recovered {
-                        Ok(rec) => rec,
-                        Err(e) => {
-                            self.enter_faulted("recover".to_string(), e.to_string());
-                            return;
-                        }
-                    };
-                    let now_ms = self.now_ms();
+                ProcessOutput::Looking => self.election_started_ms = Some(self.now_ms()),
+                ProcessOutput::Decided { .. } => {
                     if let Some(started) = self.election_started_ms.take() {
                         self.node_metrics
                             .election_duration_ms
-                            .record(now_ms.saturating_sub(started));
+                            .record(self.now_ms().saturating_sub(started));
                     }
-                    let applied_to = self.app.lock().applied_to();
-                    let (mut zab, acts) = Zab::from_election(
-                        self.id,
-                        leader,
-                        self.cfg.cluster.clone(),
-                        rec.into_persistent_state(),
-                        applied_to,
-                        now_ms,
-                    );
-                    zab.set_metrics(self.core_metrics.clone());
-                    zab.set_tracer(self.tracer.clone());
-                    self.zab = Some(zab);
-                    self.route_zab(acts);
+                }
+                ProcessOutput::Zab(a) => {
+                    self.on_action(a);
+                    if self.faulted {
+                        // Fail-stopped mid-batch: the rest was predicated
+                        // on a state that no longer exists.
+                        return;
+                    }
                 }
             }
         }
     }
 
-    fn feed_zab(&mut self, input: Input) {
-        let Some(zab) = self.zab.as_mut() else { return };
-        let acts = zab.handle(input);
-        self.route_zab(acts);
-    }
-
-    fn route_zab(&mut self, acts: Vec<Action>) {
-        for a in acts {
-            match a {
-                Action::Send { to, msg } => {
-                    if matches!(msg, Message::Forward { .. }) {
-                        self.relay_forwards.inc();
-                    }
-                    self.transport.queue(to, TransportMsg::Zab(msg))
+    /// Carries out one action of the automaton.
+    fn on_action(&mut self, a: Action) {
+        match a {
+            Action::Send { to, msg } => {
+                if matches!(msg, Message::Forward { .. }) {
+                    self.relay_forwards.inc();
                 }
-                Action::Broadcast { to, msg } => {
-                    if matches!(msg, Message::Forward { .. }) {
-                        self.relay_forwards.add(to.len() as u64);
-                    }
-                    // One encode, one frame, shared across every target's
-                    // write buffer.
-                    self.transport.queue_broadcast(&to, TransportMsg::Zab(msg));
+                self.transport.queue(to, TransportMsg::Zab(msg))
+            }
+            Action::Broadcast { to, msg } => {
+                if matches!(msg, Message::Forward { .. }) {
+                    self.relay_forwards.add(to.len() as u64);
                 }
-                Action::Persist { token, req } => {
-                    let _ = self.disk_tx.send(DiskCmd::Persist(token, req));
-                }
-                Action::Deliver { txn } => {
-                    self.app.lock().apply(&txn);
-                    // O(payload) fold into the delivered-prefix hash, in
-                    // the apply path so the chain witnesses exactly what
-                    // the application saw, in the order it saw it.
-                    self.delivery_hash.observe(txn.zxid, &txn.data);
-                    // On the primary the delivery order is the submission
-                    // order, so the oldest pending submit timestamp is
-                    // this transaction's start-of-life.
-                    if self.was_primary {
-                        if let Some(pending) = self.pending_submits.pop_front() {
-                            let now_ms = self.now_ms();
-                            let latency_ms = now_ms.saturating_sub(pending.submitted_ms);
-                            self.node_metrics.commit_latency_ms.record(latency_ms);
-                            self.node_metrics
-                                .commit_inflight
-                                .set(self.pending_submits.len() as i64);
-                            self.submit_gate.release(1);
-                            // Feed the adaptive admission window: commit
-                            // latency plus the shed counter, which gates
-                            // growth — a shedding gate is already refusing
-                            // work, so extra depth buys queueing only.
-                            let sheds = self.node_metrics.submits_shed.get();
-                            if let Some(cap) = self.admission.observe(latency_ms, now_ms, sheds) {
-                                self.submit_gate.set_cap(cap);
-                                self.node_metrics.submit_window.set(cap as i64);
-                            }
-                            // The zxid was unknown at admission time; now
-                            // that it is, record the admit and submit
-                            // instants retroactively at their original
-                            // timestamps (exporters sort by time, so late
-                            // recording does not reorder the chain). The
-                            // admit→submit delta is the admission cost:
-                            // gate wait plus command-queue time.
-                            let z = txn.zxid.0;
-                            self.tracer.span(
-                                Stage::Admit,
-                                z,
-                                z,
-                                pending.admit_us,
-                                pending.admit_us,
-                            );
-                            self.tracer.span(
-                                Stage::Submit,
-                                z,
-                                z,
-                                pending.submit_us,
-                                pending.submit_us,
-                            );
-                        }
-                    }
-                    let _ = self.events_tx.send(NodeEvent::Delivered(txn));
-                    self.applied_since_compact += 1;
-                    if self.cfg.snapshot_every.is_some_and(|k| self.applied_since_compact >= k) {
-                        self.compact();
-                    }
-                }
-                Action::InstallSnapshot { snapshot, zxid } => {
-                    let installed = self.app.lock().install(&snapshot, zxid);
-                    if let Err(e) = installed {
-                        self.node_metrics.snapshot_install_failures.inc();
-                        self.enter_faulted("install snapshot".to_string(), e);
-                        return;
-                    }
-                }
-                Action::TakeSnapshot => {
-                    let (snapshot, zxid) = {
-                        let app = self.app.lock();
-                        (Bytes::from(app.snapshot()), app.applied_to())
-                    };
-                    self.feed_zab(Input::SnapshotReady { snapshot, zxid });
-                }
-                Action::GoToElection { .. } => {
-                    self.zab = None;
-                    let recovered = self.storage.lock().recover();
-                    let rec = match recovered {
-                        Ok(rec) => rec,
-                        Err(e) => {
-                            self.enter_faulted("recover".to_string(), e.to_string());
-                            return;
-                        }
-                    };
-                    let now_ms = self.now_ms();
-                    self.election_started_ms = Some(now_ms);
-                    let el = self.election.as_mut().expect("election exists");
-                    let acts = el.restart(rec.current_epoch, rec.history.last_zxid(), now_ms);
-                    self.route_election(acts);
-                }
-                Action::Activated { .. } | Action::Committed { .. } => {}
-                Action::ClientRequestRejected { data, reason } => {
-                    // The request was accepted by on_submit (it holds a
-                    // gate slot and the newest latency entry) but the core
-                    // bounced it: undo both.
-                    if self.was_primary && self.pending_submits.pop_back().is_some() {
+                // One encode, one frame, shared across every target's
+                // write buffer.
+                self.transport.queue_broadcast(&to, TransportMsg::Zab(msg));
+            }
+            Action::Persist { token, req } => {
+                let _ = self.disk_tx.send(DiskCmd::Persist(token, req));
+            }
+            Action::Deliver { txn } => {
+                self.app.lock().apply(&txn);
+                // O(payload) fold into the delivered-prefix hash, in
+                // the apply path so the chain witnesses exactly what
+                // the application saw, in the order it saw it.
+                self.delivery_hash.observe(txn.zxid, &txn.data);
+                // On the primary the delivery order is the submission
+                // order, so the oldest pending submit timestamp is
+                // this transaction's start-of-life.
+                if self.was_primary {
+                    if let Some(pending) = self.pending_submits.pop_front() {
+                        let now_ms = self.now_ms();
+                        let latency_ms = now_ms.saturating_sub(pending.submitted_ms);
+                        self.node_metrics.commit_latency_ms.record(latency_ms);
                         self.node_metrics.commit_inflight.set(self.pending_submits.len() as i64);
                         self.submit_gate.release(1);
+                        // Feed the adaptive admission window: commit
+                        // latency plus the shed counter, which gates
+                        // growth — a shedding gate is already refusing
+                        // work, so extra depth buys queueing only.
+                        let sheds = self.node_metrics.submits_shed.get();
+                        if let Some(cap) = self.admission.observe(latency_ms, now_ms, sheds) {
+                            self.submit_gate.set_cap(cap);
+                            self.node_metrics.submit_window.set(cap as i64);
+                        }
+                        // The zxid was unknown at admission time; now
+                        // that it is, record the admit and submit
+                        // instants retroactively at their original
+                        // timestamps (exporters sort by time, so late
+                        // recording does not reorder the chain). The
+                        // admit→submit delta is the admission cost:
+                        // gate wait plus command-queue time.
+                        let z = txn.zxid.0;
+                        self.tracer.span(Stage::Admit, z, z, pending.admit_us, pending.admit_us);
+                        self.tracer.span(Stage::Submit, z, z, pending.submit_us, pending.submit_us);
                     }
-                    let _ = self
-                        .events_tx
-                        .send(NodeEvent::Rejected { request: data, reason: format!("{reason:?}") });
                 }
+                let _ = self.events_tx.send(NodeEvent::Delivered(txn));
+                self.applied_since_compact += 1;
+                if self.cfg.snapshot_every.is_some_and(|k| self.applied_since_compact >= k) {
+                    self.compact();
+                }
+            }
+            Action::InstallSnapshot { snapshot, zxid } => {
+                let installed = self.app.lock().install(&snapshot, zxid);
+                if let Err(e) = installed {
+                    self.node_metrics.snapshot_install_failures.inc();
+                    self.enter_faulted("install snapshot".to_string(), e);
+                }
+            }
+            Action::TakeSnapshot => {
+                let (snapshot, zxid) = {
+                    let app = self.app.lock();
+                    (Bytes::from(app.snapshot()), app.applied_to())
+                };
+                self.feed(Input::SnapshotReady { snapshot, zxid });
+            }
+            // `GoToElection` never leaves the process.
+            Action::Activated { .. } | Action::Committed { .. } | Action::GoToElection { .. } => {}
+            Action::ClientRequestRejected { data, reason } => {
+                // The request was accepted by on_submit (it holds a
+                // gate slot and the newest latency entry) but the core
+                // bounced it: undo both.
+                if self.was_primary && self.pending_submits.pop_back().is_some() {
+                    self.node_metrics.commit_inflight.set(self.pending_submits.len() as i64);
+                    self.submit_gate.release(1);
+                }
+                let _ = self
+                    .events_tx
+                    .send(NodeEvent::Rejected { request: data, reason: format!("{reason:?}") });
             }
         }
     }
@@ -945,11 +902,11 @@ impl<A: Application> EventLoop<A> {
             (Bytes::from(app.snapshot()), app.applied_to())
         };
         let _ = self.disk_tx.send(DiskCmd::Compact { snapshot: snapshot.clone(), through });
-        self.feed_zab(Input::Compact { through, snapshot: Some(snapshot) });
+        self.feed(Input::Compact { through, snapshot: Some(snapshot) });
     }
 
     fn on_submit(&mut self, request: Vec<u8>, admit_us: u64) {
-        let is_primary = matches!(&self.zab, Some(Zab::Leader(l)) if l.is_established());
+        let is_primary = matches!(self.zab(), Some(Zab::Leader(l)) if l.is_established());
         if !is_primary {
             let reason =
                 if self.faulted { "StorageFaulted".to_string() } else { "NotPrimary".to_string() };
@@ -967,7 +924,7 @@ impl<A: Application> EventLoop<A> {
                     admit_us,
                 });
                 self.node_metrics.commit_inflight.set(self.pending_submits.len() as i64);
-                self.feed_zab(Input::ClientRequest { data: Bytes::from(delta) });
+                self.feed(Input::ClientRequest { data: Bytes::from(delta) });
             }
             Err(reason) => {
                 self.submit_gate.release(1);
@@ -982,7 +939,7 @@ impl<A: Application> EventLoop<A> {
         if self.faulted {
             return Role::Faulted;
         }
-        match &self.zab {
+        match self.zab() {
             None => Role::Looking,
             Some(Zab::Leader(l)) => {
                 Role::Leading { established: l.is_established(), epoch: l.epoch() }
@@ -995,7 +952,7 @@ impl<A: Application> EventLoop<A> {
     }
 
     fn publish_role(&mut self) {
-        if let Some(zab) = &self.zab {
+        if let Some(zab) = self.process.as_ref().and_then(Process::zab) {
             let lags = zab.follower_lags();
             {
                 let mut h = self.health.lock();

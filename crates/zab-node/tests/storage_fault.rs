@@ -2,11 +2,13 @@
 //! a replica whose disk starts failing must emit
 //! [`NodeEvent::StorageFault`], step out of the protocol
 //! ([`Role::Faulted`]), and keep serving stale reads — while the
-//! remaining majority keeps electing and committing.
+//! remaining majority keeps electing and committing. The same wrapper
+//! counts `recover()` calls: a process reads its log once, at boot, however
+//! many role changes follow.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zab_core::PersistRequest;
@@ -26,10 +28,15 @@ fn address_book(n: u64) -> BTreeMap<ServerId, SocketAddr> {
 }
 
 /// A [`MemStorage`] whose flushes fail once the shared switch is thrown —
-/// the moral equivalent of a disk going read-only under a live replica.
+/// the moral equivalent of a disk going read-only under a live replica —
+/// or whose log cannot be read back at all, and which counts how often it
+/// is asked to.
+#[derive(Default)]
 struct SwitchableStorage {
     inner: MemStorage,
     fail_flush: Arc<AtomicBool>,
+    fail_recover: bool,
+    recovers: Arc<AtomicUsize>,
 }
 
 impl Storage for SwitchableStorage {
@@ -66,6 +73,10 @@ impl Storage for SwitchableStorage {
         self.inner.flush()
     }
     fn recover(&self) -> Result<Recovered, StorageError> {
+        self.recovers.fetch_add(1, Ordering::SeqCst);
+        if self.fail_recover {
+            return Err(StorageError::Io(std::io::Error::other("injected recover failure")));
+        }
         self.inner.recover()
     }
     fn apply(&mut self, req: &PersistRequest) -> Result<(), StorageError> {
@@ -138,6 +149,78 @@ fn malformed_durable_snapshot_faults_the_replica_instead_of_panicking() {
 }
 
 #[test]
+fn unreadable_log_at_boot_faults_the_replica() {
+    let book = address_book(1);
+    let storage = Box::new(SwitchableStorage { fail_recover: true, ..Default::default() });
+    let replica =
+        Replica::start_with_storage(NodeConfig::new(ServerId(1), book), BytesApp::new(), storage)
+            .expect("a failed recovery is reported, not returned");
+    match replica.events().recv_timeout(Duration::from_secs(5)) {
+        Ok(NodeEvent::StorageFault { context, error }) => {
+            assert_eq!(context, "recover");
+            assert!(error.contains("injected recover failure"), "unexpected error: {error}");
+        }
+        other => panic!("expected StorageFault first, got {other:?}"),
+    }
+    assert!(
+        wait_for(Duration::from_secs(5), || replica.role() == Role::Faulted),
+        "replica never entered Role::Faulted"
+    );
+    assert_eq!(replica.metrics_snapshot().counter("node.storage_faults"), 1);
+}
+
+#[test]
+fn the_log_is_read_once_per_process() {
+    let book = address_book(3);
+    let recovers: BTreeMap<ServerId, Arc<AtomicUsize>> =
+        book.keys().map(|&id| (id, Arc::new(AtomicUsize::new(0)))).collect();
+    let mut replicas: BTreeMap<ServerId, Replica<BytesApp>> = book
+        .keys()
+        .map(|&id| {
+            let storage = Box::new(SwitchableStorage {
+                recovers: Arc::clone(&recovers[&id]),
+                ..SwitchableStorage::default()
+            });
+            let cfg = NodeConfig::new(id, book.clone());
+            (id, Replica::start_with_storage(cfg, BytesApp::new(), storage).expect("start"))
+        })
+        .collect();
+    assert!(
+        wait_for(Duration::from_secs(10), || leader_of(&replicas).is_some()),
+        "no initial leader"
+    );
+    let first = leader_of(&replicas).expect("leader");
+
+    // Shut the leader down with a pipeline of submissions in flight: both
+    // survivors lose their leader, look, decide and take up new roles.
+    for i in 0..200 {
+        replicas[&first].submit(format!("op-{i}").into_bytes());
+    }
+    replicas.remove(&first).expect("leader").shutdown();
+    assert!(
+        wait_for(Duration::from_secs(60), || leader_of(&replicas).is_some()),
+        "survivors never elected a successor"
+    );
+    let before = replicas.values().map(|r| r.with_app(|a| a.log().len())).max().expect("two");
+    assert!(
+        wait_for(Duration::from_secs(30), || {
+            if let Some(l) = leader_of(&replicas) {
+                replicas[&l].submit(b"after-failover".to_vec());
+            }
+            replicas.values().all(|r| r.with_app(|a| a.log().len()) > before)
+        }),
+        "survivors stopped committing after the failover"
+    );
+
+    // Role changes hand the protocol state over in memory: the only read
+    // of the log is the one at boot.
+    for (id, replica) in &replicas {
+        assert!(replica.metrics_snapshot().counter("node.role_transitions") >= 3, "{id:?}");
+        assert_eq!(recovers[id].load(Ordering::SeqCst), 1, "{id:?} re-read its log");
+    }
+}
+
+#[test]
 fn faulted_replica_degrades_while_majority_commits() {
     let book = address_book(3);
     let switches: BTreeMap<ServerId, Arc<AtomicBool>> =
@@ -147,8 +230,8 @@ fn faulted_replica_degrades_while_majority_commits() {
         .map(|&id| {
             let cfg = NodeConfig::new(id, book.clone());
             let storage = Box::new(SwitchableStorage {
-                inner: MemStorage::new(),
                 fail_flush: Arc::clone(&switches[&id]),
+                ..SwitchableStorage::default()
             });
             (id, Replica::start_with_storage(cfg, BytesApp::new(), storage).expect("start"))
         })

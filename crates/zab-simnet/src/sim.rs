@@ -17,7 +17,7 @@ use std::sync::Arc;
 use zab_core::{
     Action, ClusterConfig, CoreMetrics, Input, Message, PersistToken, ServerId, Topology, Zab,
 };
-use zab_election::{Election, ElectionAction, ElectionConfig, ElectionInput, Notification, Vote};
+use zab_election::{ElectionConfig, Notification, Process, ProcessOutput};
 use zab_log::{FaultOp, FaultPlan, LogMetrics, MemStorage, Storage};
 use zab_metrics::{Clock, Gauge, ManualClock, Registry};
 use zab_trace::{Recorder, Stage, TraceEvent, Tracer};
@@ -72,7 +72,7 @@ impl Ord for EventEntry {
     }
 }
 
-/// A simulated process: storage + election + protocol automaton + app.
+/// A simulated process: storage + process automaton + app.
 struct Node {
     up: bool,
     /// Fail-stopped on a storage error: protocol participation halted
@@ -80,11 +80,12 @@ struct Node {
     faulted: bool,
     incarnation: u64,
     storage: MemStorage,
-    election: Option<Election>,
-    zab: Option<Zab>,
+    /// Election and protocol automaton; `None` while crashed or faulted.
+    process: Option<Process>,
     app: ReplicatedLog,
-    /// Disk: tokens applied but not yet covered by a started flush.
-    pending_tokens: Vec<PersistToken>,
+    /// Disk: latest token applied but not yet covered by a started flush
+    /// (a process's tokens only grow, so the latest covers the rest).
+    pending_token: Option<PersistToken>,
     /// Max token covered by the in-flight flush, if one is running.
     flushing_token: Option<PersistToken>,
     /// Deliveries since the last log compaction.
@@ -101,11 +102,6 @@ struct Node {
     /// the metrics registry it is *not* reset on reboot: a chaos dump
     /// should show what the node was doing before it crashed.
     recorder: Arc<Recorder>,
-}
-
-enum LocalInput {
-    Zab(Input),
-    Election(ElectionInput),
 }
 
 /// Closed- or open-loop workload state.
@@ -297,10 +293,9 @@ impl SimBuilder {
                     faulted: false,
                     incarnation: 0,
                     storage: MemStorage::new(),
-                    election: None,
-                    zab: None,
+                    process: None,
                     app: ReplicatedLog::new(),
-                    pending_tokens: Vec::new(),
+                    pending_token: None,
                     flushing_token: None,
                     delivered_since_compact: 0,
                     metrics: registry,
@@ -379,8 +374,8 @@ impl Sim {
         self.nodes
             .iter()
             .filter(|(_, n)| n.up)
-            .filter_map(|(&id, n)| match &n.zab {
-                Some(Zab::Leader(l)) if l.is_established() => Some((l.epoch(), id)),
+            .filter_map(|(&id, n)| match n.process.as_ref()?.zab()? {
+                Zab::Leader(l) if l.is_established() => Some((l.epoch(), id)),
                 _ => None,
             })
             .max()
@@ -409,7 +404,7 @@ impl Sim {
     /// pairs — the full plan on the leader, the node's own group on a
     /// relay follower, empty on a leaf / star / down node.
     pub fn relay_topology(&self, id: ServerId) -> Vec<(ServerId, Vec<ServerId>)> {
-        match &self.nodes[&id].zab {
+        match self.nodes[&id].process.as_ref().and_then(Process::zab) {
             Some(zab) => zab.relay_topology(),
             None => Vec::new(),
         }
@@ -482,7 +477,7 @@ impl Sim {
     /// benches use workloads).
     pub fn submit(&mut self, node: ServerId, data: Vec<u8>) {
         self.broadcast_hashes.insert(payload_hash(&data));
-        self.feed(node, LocalInput::Zab(Input::ClientRequest { data: Bytes::from(data) }));
+        self.feed(node, Input::ClientRequest { data: Bytes::from(data) });
     }
 
     /// Installs a closed-loop workload and schedules its first issues.
@@ -526,9 +521,8 @@ impl Sim {
         node.faulted = false;
         node.incarnation += 1;
         node.storage.crash();
-        node.zab = None;
-        node.election = None;
-        node.pending_tokens.clear();
+        node.process = None;
+        node.pending_token = None;
         node.flushing_token = None;
         let peers: Vec<ServerId> = self.nodes.keys().copied().filter(|&p| p != id).collect();
         for p in peers {
@@ -698,9 +692,8 @@ impl Sim {
         self.stats.storage_faults += 1;
         let node = self.nodes.get_mut(&id).expect("known node");
         node.faulted = true;
-        node.zab = None;
-        node.election = None;
-        node.pending_tokens.clear();
+        node.process = None;
+        node.pending_token = None;
         node.flushing_token = None;
     }
 
@@ -719,14 +712,38 @@ impl Sim {
                 .with_clock(Arc::clone(&self.trace_clock) as Arc<dyn Clock>)
                 .with_tracer(Tracer::new(Arc::clone(&node.recorder))),
         );
+        // The one read of the log in this process's life: every later role
+        // change hands state over in memory (see [`Process`]).
         let rec = node.storage.recover().expect("mem storage recovers");
-        let vote =
-            Vote { peer_epoch: rec.current_epoch, last_zxid: rec.history.last_zxid(), leader: id };
-        let (election, acts) = Election::new(id, self.election_cfg.clone(), vote, now_ms);
-        node.election = Some(election);
+        // After a crash the application restarts from the durable
+        // snapshot; without one it keeps its live state and delivery
+        // resumes after it. A snapshot that fails to decode fail-stops
+        // the node, like any storage rot.
+        if node.app.last_zxid() < rec.history.base() {
+            let snap = rec.snapshot.clone().expect("base > 0 implies snapshot");
+            if node.app.install(&snap).is_err() {
+                node.metrics.counter("node.snapshot_install_failures").inc();
+                self.stats.snapshot_install_failures += 1;
+                self.storage_fault(id);
+                return;
+            }
+            node.commits_delivered.set(node.app.len() as i64);
+        }
+        let (mut process, outs) = Process::new(
+            id,
+            self.election_cfg.clone(),
+            self.cluster.clone(),
+            rec.into_persistent_state(),
+            node.app.last_zxid(),
+            now_ms,
+        );
+        process.set_instruments(
+            CoreMetrics::registered(&node.metrics),
+            Tracer::new(Arc::clone(&node.recorder)),
+        );
+        node.process = Some(process);
         let incarnation = node.incarnation;
-        self.stats.elections_started += 1;
-        self.route_election_actions(id, acts);
+        self.run_outputs(id, outs);
         self.schedule(self.cfg.tick_interval_us, SimEventKind::Tick { node: id, incarnation });
     }
 
@@ -846,8 +863,7 @@ impl Sim {
                     return;
                 }
                 let now_ms = self.node_now_ms(node);
-                self.feed(node, LocalInput::Election(ElectionInput::Tick { now_ms }));
-                self.feed(node, LocalInput::Zab(Input::Tick { now_ms }));
+                self.feed(node, Input::Tick { now_ms });
                 self.schedule(self.cfg.tick_interval_us, SimEventKind::Tick { node, incarnation });
             }
             SimEventKind::Deliver { from, to, wire, link_epoch, size } => {
@@ -862,11 +878,16 @@ impl Sim {
                     self.nodes[&to].recorder.record(Stage::WireIn, zxid, from.0);
                 }
                 match wire {
-                    Wire::Zab(msg) => self.feed(to, LocalInput::Zab(Input::Message { from, msg })),
-                    Wire::Election(notification) => self.feed(
-                        to,
-                        LocalInput::Election(ElectionInput::Notification { from, notification }),
-                    ),
+                    Wire::Zab(msg) => self.feed(to, Input::Message { from, msg }),
+                    Wire::Election(notification) => {
+                        let now_ms = self.node_now_ms(to);
+                        let Some(p) = self.nodes.get_mut(&to).and_then(|n| n.process.as_mut())
+                        else {
+                            return;
+                        };
+                        let outs = p.handle_notification(from, notification, now_ms);
+                        self.run_outputs(to, outs);
+                    }
                 }
             }
             SimEventKind::FlushDone { node, incarnation } => {
@@ -885,23 +906,21 @@ impl Sim {
                 self.stats.flushes += 1;
                 let token = n.flushing_token.take().expect("flush was in flight");
                 // Start the next group flush if writes accumulated.
-                if !n.pending_tokens.is_empty() {
-                    let max = *n.pending_tokens.iter().max().expect("nonempty");
-                    n.pending_tokens.clear();
-                    n.flushing_token = Some(max);
+                if let Some(next) = n.pending_token.take() {
+                    n.flushing_token = Some(next);
                     self.schedule(
                         self.cfg.flush_latency_us,
                         SimEventKind::FlushDone { node, incarnation },
                     );
                 }
-                self.feed(node, LocalInput::Zab(Input::Persisted { token }));
+                self.feed(node, Input::Persisted { token });
             }
             SimEventKind::Disconnect { node, peer } => {
                 let Some(n) = self.nodes.get(&node) else { return };
                 if !n.up {
                     return;
                 }
-                self.feed(node, LocalInput::Zab(Input::PeerDisconnected { peer }));
+                self.feed(node, Input::PeerDisconnected { peer });
             }
             SimEventKind::Issue { op_id } => self.workload_issue(op_id),
             SimEventKind::OpTimeout { op_id } => {
@@ -914,94 +933,51 @@ impl Sim {
         }
     }
 
-    /// Feeds a local input to a node's automata, routing resulting actions
-    /// (and their cascading local inputs) to completion.
-    fn feed(&mut self, id: ServerId, input: LocalInput) {
-        let mut inbox: VecDeque<(ServerId, LocalInput)> = VecDeque::new();
-        inbox.push_back((id, input));
-        while let Some((nid, li)) = inbox.pop_front() {
-            let Some(node) = self.nodes.get_mut(&nid) else { continue };
-            if !node.up || node.faulted {
-                continue;
-            }
-            match li {
-                LocalInput::Zab(i) => {
-                    let Some(zab) = node.zab.as_mut() else { continue };
-                    let acts = zab.handle(i);
-                    self.route_zab_actions(nid, acts, &mut inbox);
-                }
-                LocalInput::Election(i) => {
-                    let Some(el) = node.election.as_mut() else { continue };
-                    let acts = el.handle(i);
-                    self.route_election_actions_inner(nid, acts, &mut inbox);
-                }
-            }
-        }
+    /// Feeds an input to a node's process, routing resulting outputs (and
+    /// their cascading local inputs) to completion.
+    fn feed(&mut self, id: ServerId, input: Input) {
+        self.drain(VecDeque::from([(id, input)]));
     }
 
-    fn route_election_actions(&mut self, id: ServerId, acts: Vec<ElectionAction>) {
+    /// Routes one batch of a node's outputs, then whatever local inputs
+    /// they cascade into.
+    fn run_outputs(&mut self, id: ServerId, outs: Vec<ProcessOutput>) {
         let mut inbox = VecDeque::new();
-        self.route_election_actions_inner(id, acts, &mut inbox);
-        while let Some((nid, li)) = inbox.pop_front() {
-            // Cascade through feed's loop body by re-entering feed.
-            self.feed(nid, li);
+        self.route(id, outs, &mut inbox);
+        self.drain(inbox);
+    }
+
+    fn drain(&mut self, mut inbox: VecDeque<(ServerId, Input)>) {
+        while let Some((nid, input)) = inbox.pop_front() {
+            let now_ms = self.node_now_ms(nid);
+            // No process while crashed or faulted: the input is dropped.
+            let Some(p) = self.nodes.get_mut(&nid).and_then(|n| n.process.as_mut()) else {
+                continue;
+            };
+            let outs = p.handle(input, now_ms);
+            self.route(nid, outs, &mut inbox);
         }
     }
 
-    fn route_election_actions_inner(
+    fn route(
         &mut self,
         id: ServerId,
-        acts: Vec<ElectionAction>,
-        inbox: &mut VecDeque<(ServerId, LocalInput)>,
+        outs: Vec<ProcessOutput>,
+        inbox: &mut VecDeque<(ServerId, Input)>,
     ) {
-        for a in acts {
-            match a {
-                ElectionAction::Send { to, notification } => {
+        for o in outs {
+            let a = match o {
+                ProcessOutput::Notify { to, notification } => {
                     self.send(id, to, Wire::Election(notification));
+                    continue;
                 }
-                ElectionAction::Decided { leader } => {
-                    let now_ms = self.node_now_ms(id);
-                    let node = self.nodes.get_mut(&id).expect("known node");
-                    let rec = node.storage.recover().expect("mem storage recovers");
-                    // After a crash the application restarts from the
-                    // durable snapshot; without one it keeps its live state
-                    // and delivery resumes after it. A snapshot that fails
-                    // to decode fail-stops the node, like any storage rot.
-                    if node.app.last_zxid() < rec.history.base() {
-                        let snap = rec.snapshot.clone().expect("base > 0 implies snapshot");
-                        if node.app.install(&snap).is_err() {
-                            node.metrics.counter("node.snapshot_install_failures").inc();
-                            self.stats.snapshot_install_failures += 1;
-                            self.storage_fault(id);
-                            return;
-                        }
-                        node.commits_delivered.set(node.app.len() as i64);
-                    }
-                    let applied_to = node.app.last_zxid();
-                    let (mut zab, acts) = Zab::from_election(
-                        id,
-                        leader,
-                        self.cluster.clone(),
-                        rec.into_persistent_state(),
-                        applied_to,
-                        now_ms,
-                    );
-                    zab.set_metrics(CoreMetrics::registered(&node.metrics));
-                    zab.set_tracer(Tracer::new(Arc::clone(&node.recorder)));
-                    node.zab = Some(zab);
-                    self.route_zab_actions(id, acts, inbox);
+                ProcessOutput::Looking => {
+                    self.stats.elections_started += 1;
+                    continue;
                 }
-            }
-        }
-    }
-
-    fn route_zab_actions(
-        &mut self,
-        id: ServerId,
-        acts: Vec<Action>,
-        inbox: &mut VecDeque<(ServerId, LocalInput)>,
-    ) {
-        for a in acts {
+                ProcessOutput::Decided { .. } => continue,
+                ProcessOutput::Zab(a) => a,
+            };
             match a {
                 Action::Send { to, msg } => self.send(id, to, Wire::Zab(msg)),
                 Action::Broadcast { to, msg } => {
@@ -1031,7 +1007,7 @@ impl Sim {
                             SimEventKind::FlushDone { node: id, incarnation },
                         );
                     } else {
-                        node.pending_tokens.push(token);
+                        node.pending_token = Some(token);
                     }
                 }
                 Action::Deliver { txn } => {
@@ -1051,10 +1027,7 @@ impl Sim {
                             }
                             inbox.push_back((
                                 id,
-                                LocalInput::Zab(Input::Compact {
-                                    through,
-                                    snapshot: Some(snapshot),
-                                }),
+                                Input::Compact { through, snapshot: Some(snapshot) },
                             ));
                         }
                     }
@@ -1077,25 +1050,16 @@ impl Sim {
                     let node = self.nodes.get_mut(&id).expect("known node");
                     let snapshot = Bytes::from(node.app.snapshot());
                     let zxid = node.app.last_zxid();
-                    inbox.push_back((id, LocalInput::Zab(Input::SnapshotReady { snapshot, zxid })));
-                }
-                Action::GoToElection { .. } => {
-                    let now_ms = self.node_now_ms(id);
-                    let node = self.nodes.get_mut(&id).expect("known node");
-                    node.zab = None;
-                    let rec = node.storage.recover().expect("mem storage recovers");
-                    let el = node.election.as_mut().expect("election exists");
-                    let acts = el.restart(rec.current_epoch, rec.history.last_zxid(), now_ms);
-                    self.stats.elections_started += 1;
-                    self.route_election_actions_inner(id, acts, inbox);
+                    inbox.push_back((id, Input::SnapshotReady { snapshot, zxid }));
                 }
                 Action::Activated { .. } => {
-                    let node = self.nodes.get(&id).expect("known node");
-                    if matches!(&node.zab, Some(Zab::Leader(_))) {
+                    let process = self.nodes[&id].process.as_ref();
+                    if matches!(process.and_then(Process::zab), Some(Zab::Leader(_))) {
                         self.stats.establishments += 1;
                     }
                 }
-                Action::Committed { .. } => {}
+                // `GoToElection` never leaves the process.
+                Action::Committed { .. } | Action::GoToElection { .. } => {}
                 Action::ClientRequestRejected { data, .. } => {
                     self.stats.rejections += 1;
                     self.workload_on_rejected(&data);
@@ -1125,7 +1089,7 @@ impl Sim {
         if let Some(t) = timeout {
             self.schedule(t, SimEventKind::OpTimeout { op_id });
         }
-        self.feed(leader, LocalInput::Zab(Input::ClientRequest { data: Bytes::from(data) }));
+        self.feed(leader, Input::ClientRequest { data: Bytes::from(data) });
     }
 
     /// Called on every delivery; completes workload ops on their first
