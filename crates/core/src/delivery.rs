@@ -15,6 +15,28 @@ use zab_trace::{Stage, Tracer};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// One FNV-1a step over a whole word: a bijection in `h` for a fixed `x`
+/// and in `x` for a fixed `h` (`FNV_PRIME` is odd), so two inputs that
+/// differ in one step leave every later state different.
+fn mix(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds `data` into `h` in 8-byte little-endian lanes, then the tail
+/// byte-wise: one multiply per 8 bytes instead of one per byte.
+fn fold(h: u64, data: &[u8]) -> u64 {
+    let (lanes, tail) = data.as_chunks::<8>();
+    let h = lanes.iter().fold(h, |h, lane| mix(h, u64::from_le_bytes(*lane)));
+    tail.iter().fold(h, |h, &b| mix(h, u64::from(b)))
+}
+
+/// The 64-bit lane-fold hash of one payload, the same fold
+/// [`DeliveryHash`] chains. Its values are only comparable between
+/// processes running the same build.
+pub fn payload_hash(data: &[u8]) -> u64 {
+    fold(FNV_OFFSET, data)
+}
+
 /// Delivered-prefix checkpoints are taken every this many transactions
 /// (whenever `zxid.counter() % CHECKPOINT_STRIDE == 0`). A fixed zxid
 /// stride — rather than "every Nth local delivery" — means every replica
@@ -40,10 +62,17 @@ pub struct HashCheckpoint {
 /// delivered-prefix-agreement witness the ensemble watchdog compares
 /// across replicas.
 ///
-/// Each delivery folds `(zxid, payload)` into an FNV-1a chain: O(payload)
-/// per deliver, never O(history). Because replicas may boot (and install
-/// snapshots) at different points, a chain hash from process start would
-/// never agree across nodes; instead the chain **re-anchors at every epoch
+/// Each delivery folds the zxid, the payload length and the payload into an
+/// FNV-1a-style chain, a word at a time: the zxid and length as one lane
+/// each, the payload in 8-byte little-endian lanes with its tail byte-wise.
+/// That is O(payload) per deliver, never O(history), and a stream that
+/// differs in any one byte or in a length ends with a different hash. The
+/// values live only in memory and are compared only between replicas of
+/// the same build.
+///
+/// Because replicas may boot (and install snapshots) at different points,
+/// a chain hash from process start would never agree across nodes;
+/// instead the chain **re-anchors at every epoch
 /// boundary** (and at the first delivery after boot), and the anchor zxid
 /// is part of the witness. Two replicas are comparable exactly when their
 /// anchors match — true for every replica that lived through the same
@@ -89,16 +118,7 @@ impl DeliveryHash {
             self.anchor = zxid;
             self.checkpoints.clear();
         }
-        let mut h = self.hash;
-        for b in zxid.0.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for b in (data.len() as u64).to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for &b in data {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+        let h = fold(mix(mix(self.hash, zxid.0), data.len() as u64), data);
         self.hash = h;
         self.last = zxid;
         self.version += 1;
@@ -326,6 +346,35 @@ mod tests {
         let mut later = DeliveryHash::new();
         later.observe(z(2, 5), b"z");
         assert_ne!(later.anchor(), veteran.anchor());
+    }
+
+    #[test]
+    fn lane_fold_witnesses_every_byte_flip_and_length() {
+        let chain = |data: &[u8]| {
+            let mut d = DeliveryHash::new();
+            d.observe(z(1, 1), data);
+            d.hash()
+        };
+        let base: Vec<u8> = (0..1024u32).map(|i| (i * 7 + 3) as u8).collect();
+        // 0..=17 covers every tail shape around two lanes; 1024 is the op.
+        for len in (0..=17).chain([1024]) {
+            let payload = &base[..len];
+            let h = chain(payload);
+            let mut flipped = payload.to_vec();
+            for i in 0..len {
+                for bit in 0..8 {
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(chain(&flipped), h, "len {len}: flip {i}:{bit} unseen");
+                    flipped[i] ^= 1 << bit;
+                }
+            }
+            let longer = [payload, &[0]].concat();
+            assert_ne!(chain(&longer), h, "len {len}: a trailing zero byte unseen");
+        }
+        // The length alone: all-zero payloads of every size hash apart.
+        let zeros: std::collections::HashSet<u64> =
+            (0..=17).chain([1024]).map(|len| chain(&vec![0u8; len])).collect();
+        assert_eq!(zeros.len(), 19);
     }
 
     #[test]

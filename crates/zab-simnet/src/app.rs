@@ -43,23 +43,16 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a hash of a payload; applied entries store hashes, not payloads,
-/// to keep big simulations cheap.
-pub fn payload_hash(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// Applied entries store payload hashes, not payloads, to keep big
+/// simulations cheap; the hash is the delivery hash's payload fold.
+pub use zab_core::delivery::payload_hash;
 
 /// One applied entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Applied {
     /// The transaction id.
     pub zxid: Zxid,
-    /// FNV-1a of the payload.
+    /// [`payload_hash`] of the payload.
     pub hash: u64,
 }
 
