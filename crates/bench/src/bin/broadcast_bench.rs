@@ -5,18 +5,16 @@
 //! not confound the network path) to saturation and emits
 //! `BENCH_broadcast.json` at the repo root with three datasets:
 //!
-//! 1. saturated throughput vs. ensemble size (n = 3/5/7/9), with a
-//!    topology axis (`--topology relay` adds relay-tree rows next to the
-//!    star baseline) and the leader's measured egress bytes per
-//!    committed txn — the quantity the relay tree flattens,
+//! 1. saturated throughput vs. ensemble size (n = 3/5/7/9), with the
+//!    leader's measured egress bytes per committed txn,
 //! 2. p50/p99 commit latency vs. offered load (fractions of the measured
 //!    3-node saturation point, including over-saturation at 1.1× and
 //!    1.5×),
 //! 3. throughput vs. maximum outstanding proposals (1/8/32/128),
 //! 4. a virtual-time simnet scaling curve at n = 9/15/33 (`scaling_simnet`
 //!    rows) where the 1-CPU container cannot distort per-peer socket
-//!    costs — the axis that shows relay dissemination extending the
-//!    curve past what real localhost TCP can host here.
+//!    costs, extending the curve past what real localhost TCP can host
+//!    here.
 //!
 //! The offered-load axis is an *honest* open loop: submissions go
 //! through the non-blocking `try_submit`, ops shed at the admission
@@ -34,9 +32,7 @@
 //! output).
 //!
 //! Run: `cargo run --release -p zab-bench --bin broadcast_bench
-//! [--quick] [--topology star|relay] [--trace-out PATH]`
-//! (`--topology relay` *adds* the relay axis; the star baseline always
-//! runs so every relay row has its comparison row in the same file.)
+//! [--quick] [--trace-out PATH]`
 //! Output: `BENCH_broadcast.json` at the repo root (`BENCH_OUT` overrides).
 //! With `--trace-out`, the merged flight-recorder dump of the 3-node
 //! saturation run is written to PATH as Chrome trace-event JSON
@@ -49,7 +45,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use zab_bench::{fmt_f, print_header, OpenLoopStats};
-use zab_core::{ServerId, Topology};
+use zab_core::ServerId;
 use zab_node::{apps::BytesApp, NodeConfig, NodeEvent, Replica, Role, SubmitError};
 use zab_simnet::workload::ClosedLoopSpec;
 use zab_simnet::SimBuilder;
@@ -65,8 +61,8 @@ struct Cluster {
 impl Cluster {
     /// Boots an n-server localhost ensemble and waits for an established
     /// leader.
-    fn start(n: u64, max_outstanding: usize, topology: Topology) -> Cluster {
-        Cluster::start_with(n, max_outstanding, topology, |cfg| cfg)
+    fn start(n: u64, max_outstanding: usize) -> Cluster {
+        Cluster::start_with(n, max_outstanding, |cfg| cfg)
     }
 
     /// [`Cluster::start`] with a per-node config hook (the observability
@@ -74,7 +70,6 @@ impl Cluster {
     fn start_with(
         n: u64,
         max_outstanding: usize,
-        topology: Topology,
         customize: impl Fn(NodeConfig) -> NodeConfig,
     ) -> Cluster {
         let book: BTreeMap<ServerId, SocketAddr> = (1..=n)
@@ -88,7 +83,7 @@ impl Cluster {
         let replicas: BTreeMap<ServerId, Replica<BytesApp>> = book
             .keys()
             .map(|&id| {
-                let mut cfg = NodeConfig::new(id, book.clone()).with_topology(topology);
+                let mut cfg = NodeConfig::new(id, book.clone());
                 cfg.cluster.max_outstanding = max_outstanding;
                 let cfg = customize(cfg);
                 (id, Replica::start(cfg, BytesApp::new()).expect("start"))
@@ -417,37 +412,23 @@ fn print_stage_breakdown(events: &[TraceEvent]) {
     }
 }
 
-fn topology_name(t: Topology) -> &'static str {
-    match t {
-        Topology::Star => "star",
-        Topology::Relay => "relay",
-    }
-}
-
 /// One simnet scaling cell: a saturating closed loop against an
 /// `n`-node virtual-time cluster, reporting committed throughput in
 /// *virtual* ops/s and the leader's egress bytes per committed txn.
 /// Virtual time is what makes the n=33 row honest on a 1-CPU container:
 /// every per-peer serialization delay is modeled (125 B/µs NIC), none is
 /// distorted by the host actually multiplexing 33 event loops.
-fn run_simnet_cell(n: u64, topology: Topology, ops: u64) -> (f64, f64, f64, f64) {
+fn run_simnet_cell(n: u64, ops: u64) -> (f64, f64, f64, f64) {
     // Failure-detection timeouts sized like a deployment's: well above
     // the saturated p99 commit latency. The chaos tests deliberately run
     // tighter ones; here a timeout inside the queueing tail would read
-    // as phantom stalls (and, under relay, thrash members between tree
-    // and direct paths, each switch replaying the in-flight window).
-    let mut sim = SimBuilder::new(n)
-        .seed(1)
-        .timeouts_ms(2_000, 2_000, 100)
-        .max_outstanding(512)
-        .topology(topology)
-        .build();
+    // as phantom stalls.
+    let mut sim =
+        SimBuilder::new(n).seed(1).timeouts_ms(2_000, 2_000, 100).max_outstanding(512).build();
     let leader = sim.run_until_leader(10_000_000).expect("simnet leader");
-    // Warm up to steady state before measuring, as F1 does: under relay
-    // the tree forms incrementally (each follower joins the plan on its
-    // first ack) and every join replays the in-flight window on the new
-    // path — a one-time formation cost that must not be billed to the
-    // steady-state row.
+    // Warm up to steady state before measuring, as F1 does: one-time
+    // establishment transients must not be billed to the steady-state
+    // row.
     let warmup = (ops / 5).max(200);
     sim.install_closed_loop(ClosedLoopSpec::saturating(256, PAYLOAD, warmup));
     let deadline = sim.now_us() + 600_000_000;
@@ -485,15 +466,6 @@ fn main() {
         .position(|a| a == "--trace-out")
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
-    // `--topology relay` ADDS the relay axis; star always runs so the
-    // relay rows ship with their baseline in the same file.
-    let relay_axis = args
-        .iter()
-        .position(|a| a == "--topology")
-        .and_then(|i| args.get(i + 1))
-        .is_some_and(|v| v == "relay");
-    let topologies: &[Topology] =
-        if relay_axis { &[Topology::Star, Topology::Relay] } else { &[Topology::Star] };
     // Axis sizes: --quick is the CI smoke (schema-identical, seconds);
     // the full run is the EXPERIMENTS.md record.
     let (ensemble_sizes, sat_ops, windows, load_fractions, load_secs): (
@@ -511,82 +483,72 @@ fn main() {
     };
     const SAT_WINDOW: usize = 512;
 
-    // Figure 1: saturated throughput vs. ensemble size, per topology.
+    // Figure 1: saturated throughput vs. ensemble size.
     println!("F1: saturated throughput vs. ensemble size ({sat_ops} x {PAYLOAD} B ops)\n");
-    print_header(&["topology", "servers", "window", "ops/s", "p50 (ms)", "p99 (ms)", "ldr B/txn"]);
+    print_header(&["servers", "window", "ops/s", "p50 (ms)", "p99 (ms)", "ldr B/txn"]);
     let mut fig1 = Vec::new();
     let mut sat3 = 0.0f64;
     let mut sat3_traces: Vec<TraceEvent> = Vec::new();
     let mut commit_quantiles_ms = (0u64, 0u64, 0u64);
-    for &topology in topologies {
-        for &n in ensemble_sizes {
-            let mut cluster =
-                Cluster::start_with(n, 1000, topology, |cfg| cfg.with_submit_window(SAT_WINDOW));
-            // Settle before measuring (the fix for the old n=5 p99
-            // outlier, 124 ms against 40 ms at n=7): a freshly booted
-            // ensemble is still absorbing establishment traffic — late
-            // joiners reconnecting — and F1 used to start its stopwatch
-            // straight into that. A short warm-up burst followed by a
-            // drain gets every one-time transient out of the measured
-            // window, exactly as F2 already did per row.
-            let warmup = (sat_ops / 10).clamp(100, 2_000);
-            run_closed_loop(&cluster, SAT_WINDOW.min(64), warmup);
-            cluster.drain_to_quiescence();
-            cluster.refresh_leader();
-            let before = cluster.leader().metrics_snapshot();
-            let m = run_closed_loop(&cluster, SAT_WINDOW, sat_ops);
-            let after = cluster.leader().metrics_snapshot();
-            let (tput, p50, p99) = (m.ops_per_sec(), m.percentile_ms(0.50), m.percentile_ms(0.99));
-            // The leader's egress cost per committed txn, from its own
-            // transport counters — the quantity relay dissemination is
-            // supposed to flatten from O(N) to O(√N).
-            let d_bytes = after.counter_sum("transport.bytes_out.")
-                - before.counter_sum("transport.bytes_out.");
-            let d_committed = after.counter("core.proposals_committed")
-                - before.counter("core.proposals_committed");
-            let bytes_per_txn = d_bytes as f64 / d_committed.max(1) as f64;
-            let forwards = after.counter("transport.relay_forwards")
-                - before.counter("transport.relay_forwards");
-            if n == 3 && topology == Topology::Star {
-                sat3 = tput;
-                // Histogram-side commit latency (leader's own measurement,
-                // independent of the closed loop's client-side stopwatch).
-                if let Some(h) =
-                    cluster.leader().metrics_snapshot().histogram("node.commit_latency_ms")
-                {
-                    commit_quantiles_ms = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
-                }
-                // Flight-recorder dump of the saturation run, and the memory
-                // bound it must honor even at full load.
-                for r in cluster.replicas.values() {
-                    assert!(
-                        r.trace_events().len() <= r.trace_recorder().max_resident_events(),
-                        "flight recorder exceeded its configured memory bound under saturation"
-                    );
-                }
-                sat3_traces = merge(cluster.replicas.values().map(|r| r.trace_events()).collect());
+    for &n in ensemble_sizes {
+        let mut cluster = Cluster::start_with(n, 1000, |cfg| cfg.with_submit_window(SAT_WINDOW));
+        // Settle before measuring (the fix for the old n=5 p99
+        // outlier, 124 ms against 40 ms at n=7): a freshly booted
+        // ensemble is still absorbing establishment traffic — late
+        // joiners reconnecting — and F1 used to start its stopwatch
+        // straight into that. A short warm-up burst followed by a
+        // drain gets every one-time transient out of the measured
+        // window, exactly as F2 already did per row.
+        let warmup = (sat_ops / 10).clamp(100, 2_000);
+        run_closed_loop(&cluster, SAT_WINDOW.min(64), warmup);
+        cluster.drain_to_quiescence();
+        cluster.refresh_leader();
+        let before = cluster.leader().metrics_snapshot();
+        let m = run_closed_loop(&cluster, SAT_WINDOW, sat_ops);
+        let after = cluster.leader().metrics_snapshot();
+        let (tput, p50, p99) = (m.ops_per_sec(), m.percentile_ms(0.50), m.percentile_ms(0.99));
+        // The leader's egress cost per committed txn, from its own
+        // transport counters: O(N) under star dissemination.
+        let d_bytes =
+            after.counter_sum("transport.bytes_out.") - before.counter_sum("transport.bytes_out.");
+        let d_committed =
+            after.counter("core.proposals_committed") - before.counter("core.proposals_committed");
+        let bytes_per_txn = d_bytes as f64 / d_committed.max(1) as f64;
+        if n == 3 {
+            sat3 = tput;
+            // Histogram-side commit latency (leader's own measurement,
+            // independent of the closed loop's client-side stopwatch).
+            if let Some(h) = cluster.leader().metrics_snapshot().histogram("node.commit_latency_ms")
+            {
+                commit_quantiles_ms = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
             }
-            println!(
-                "| {} | {n} | {SAT_WINDOW} | {} | {} | {} | {} |",
-                topology_name(topology),
-                fmt_f(tput),
-                fmt_f(p50),
-                fmt_f(p99),
-                fmt_f(bytes_per_txn)
-            );
-            fig1.push(Row {
-                fields: vec![
-                    ("n", n.to_string()),
-                    ("topology", format!("\"{}\"", topology_name(topology))),
-                    ("window", SAT_WINDOW.to_string()),
-                    ("ops_per_sec", num(tput)),
-                    ("p50_ms", num(p50)),
-                    ("p99_ms", num(p99)),
-                    ("leader_bytes_out_per_txn", num(bytes_per_txn)),
-                    ("relay_forwards", forwards.to_string()),
-                ],
-            });
+            // Flight-recorder dump of the saturation run, and the memory
+            // bound it must honor even at full load.
+            for r in cluster.replicas.values() {
+                assert!(
+                    r.trace_events().len() <= r.trace_recorder().max_resident_events(),
+                    "flight recorder exceeded its configured memory bound under saturation"
+                );
+            }
+            sat3_traces = merge(cluster.replicas.values().map(|r| r.trace_events()).collect());
         }
+        println!(
+            "| {n} | {SAT_WINDOW} | {} | {} | {} | {} |",
+            fmt_f(tput),
+            fmt_f(p50),
+            fmt_f(p99),
+            fmt_f(bytes_per_txn)
+        );
+        fig1.push(Row {
+            fields: vec![
+                ("n", n.to_string()),
+                ("window", SAT_WINDOW.to_string()),
+                ("ops_per_sec", num(tput)),
+                ("p50_ms", num(p50)),
+                ("p99_ms", num(p99)),
+                ("leader_bytes_out_per_txn", num(bytes_per_txn)),
+            ],
+        });
     }
 
     // Figure 2: latency vs. offered load (3 servers, fractions of the
@@ -603,7 +565,7 @@ fn main() {
         // 1.5x row that run-length decay (B1's caveat) dwarfs the effect
         // of offered load itself and reads as a phantom collapse.
         for &f in load_fractions {
-            let mut cluster = Cluster::start(3, 1000, Topology::Star);
+            let mut cluster = Cluster::start(3, 1000);
             cluster.drain_to_quiescence();
             cluster.refresh_leader();
             let rate = (sat3 * f).max(10.0);
@@ -648,7 +610,7 @@ fn main() {
     print_header(&["max outstanding", "ops/s", "p50 (ms)"]);
     let mut fig3 = Vec::new();
     for &w in windows {
-        let cluster = Cluster::start(3, w, Topology::Star);
+        let cluster = Cluster::start(3, w);
         let ops = if quick { sat_ops } else { (sat_ops / 4).max(500) * (w.min(8) as u64) };
         let m = run_closed_loop(&cluster, w, ops);
         let (tput, p50) = (m.ops_per_sec(), m.percentile_ms(0.50));
@@ -671,30 +633,26 @@ fn main() {
     let sim_sizes: &[u64] = &[9, 15, 33];
     let sim_ops: u64 = if quick { 1_000 } else { 10_000 };
     println!("\nF4: simnet scaling curve ({sim_ops} x {PAYLOAD} B ops, virtual time)\n");
-    print_header(&["topology", "servers", "ops/s (virtual)", "p50 (ms)", "p99 (ms)", "ldr B/txn"]);
+    print_header(&["servers", "ops/s (virtual)", "p50 (ms)", "p99 (ms)", "ldr B/txn"]);
     let mut fig4 = Vec::new();
-    for &topology in topologies {
-        for &n in sim_sizes {
-            let (tput, p50, p99, bytes_per_txn) = run_simnet_cell(n, topology, sim_ops);
-            println!(
-                "| {} | {n} | {} | {} | {} | {} |",
-                topology_name(topology),
-                fmt_f(tput),
-                fmt_f(p50),
-                fmt_f(p99),
-                fmt_f(bytes_per_txn)
-            );
-            fig4.push(Row {
-                fields: vec![
-                    ("n", n.to_string()),
-                    ("topology", format!("\"{}\"", topology_name(topology))),
-                    ("ops_per_sec", num(tput)),
-                    ("p50_ms", num(p50)),
-                    ("p99_ms", num(p99)),
-                    ("leader_bytes_out_per_txn", num(bytes_per_txn)),
-                ],
-            });
-        }
+    for &n in sim_sizes {
+        let (tput, p50, p99, bytes_per_txn) = run_simnet_cell(n, sim_ops);
+        println!(
+            "| {n} | {} | {} | {} | {} |",
+            fmt_f(tput),
+            fmt_f(p50),
+            fmt_f(p99),
+            fmt_f(bytes_per_txn)
+        );
+        fig4.push(Row {
+            fields: vec![
+                ("n", n.to_string()),
+                ("ops_per_sec", num(tput)),
+                ("p50_ms", num(p50)),
+                ("p99_ms", num(p99)),
+                ("leader_bytes_out_per_txn", num(bytes_per_txn)),
+            ],
+        });
     }
 
     // Figure 5: what the observability plane itself costs. One live
@@ -730,7 +688,7 @@ fn main() {
     let sub_ops: u64 = 6_000; // ~130 ms per sub-window at saturation
     let trials = 3; // 2 modes x 3 trials: CI asserts >= 6 F5 rows, quick included
     for trial in 0..trials {
-        let mut cluster = Cluster::start_with(3, 1000, Topology::Star, |cfg| {
+        let mut cluster = Cluster::start_with(3, 1000, |cfg| {
             cfg.with_tracing(true)
                 .with_admin("127.0.0.1:0".parse().expect("addr"))
                 .with_submit_window(SAT_WINDOW)
@@ -821,7 +779,7 @@ fn main() {
     );
 
     // Schema-additive: the histogram-side commit quantiles, the F1
-    // topology/egress columns, and the simnet scaling rows all ride
+    // egress column, and the simnet scaling rows all ride
     // along under new keys; every v1 consumer keeps parsing.
     let (q50, q95, q99) = commit_quantiles_ms;
     let json = format!(

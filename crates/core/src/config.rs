@@ -89,25 +89,6 @@ impl QuorumSystem for WeightedQuorum {
     }
 }
 
-/// How the leader disseminates broadcast traffic (PROPOSE/COMMIT) to
-/// active followers. ACKs, pings, and sync streams are always
-/// star-shaped regardless of topology: acks must reach the leader
-/// directly for the quorum argument, and pings drive failure detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Topology {
-    /// The leader writes every broadcast frame to every active follower
-    /// (the paper's shape; O(N) leader socket writes per transaction).
-    #[default]
-    Star,
-    /// The leader partitions active followers into ⌈√m⌉-sized relay
-    /// groups, writes each frame once per relay, and relays forward the
-    /// same refcounted bytes to their group — O(√N) leader writes per
-    /// transaction. Falls back to star below 4 active followers (a tree
-    /// would only add a hop) and re-parents members of a failed relay
-    /// directly to the leader until the next reassignment.
-    Relay,
-}
-
 /// Static configuration shared by every server of an ensemble.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -146,8 +127,6 @@ pub struct ClusterConfig {
     /// at that 2 MiB/s floor, because a bucket that never refills would
     /// wedge every multi-chunk sync.
     pub sync_rate_bytes_per_sec: u64,
-    /// Dissemination topology for broadcast traffic (see [`Topology`]).
-    pub topology: Topology,
 }
 
 impl ClusterConfig {
@@ -171,7 +150,6 @@ impl ClusterConfig {
             snap_threshold: 10_000,
             request_queue_limit: 2_000,
             sync_rate_bytes_per_sec: 64 << 20,
-            topology: Topology::Star,
         }
     }
 

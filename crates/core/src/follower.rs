@@ -23,7 +23,6 @@ use crate::history::History;
 use crate::messages::Message;
 use crate::metrics::CoreMetrics;
 use crate::types::{Epoch, ServerId, Txn, Zxid};
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use zab_trace::{Stage, Tracer};
 
@@ -80,12 +79,6 @@ pub struct Follower {
     last_leader_contact_ms: u64,
     next_token: u64,
     pending: BTreeMap<PersistToken, Pending>,
-    /// Relay-tree dissemination: the group members this follower forwards
-    /// leader-origin [`Message::Forward`] frames to. Empty for plain
-    /// followers (and under star topology). Assigned by the leader via
-    /// [`Message::RelayAssign`] on the same FIFO channel as the forwards,
-    /// so an assignment orders exactly against the frames it governs.
-    relay_group: Vec<ServerId>,
     /// Instrument bundle (standalone by default; see
     /// [`Follower::set_metrics`]).
     metrics: CoreMetrics,
@@ -126,7 +119,6 @@ impl Follower {
             last_leader_contact_ms: now_ms,
             next_token: 0,
             pending: BTreeMap::new(),
-            relay_group: Vec::new(),
             metrics: CoreMetrics::standalone(),
             tracer: Tracer::disabled(),
         };
@@ -162,12 +154,6 @@ impl Follower {
     /// The leader this incarnation follows.
     pub fn leader(&self) -> ServerId {
         self.leader
-    }
-
-    /// The relay group this follower currently forwards broadcast frames
-    /// to (empty unless the leader appointed it a relay).
-    pub fn relay_group(&self) -> &[ServerId] {
-        &self.relay_group
     }
 
     /// Current phase, for observability.
@@ -233,14 +219,7 @@ impl Follower {
             Input::Tick { now_ms } => self.on_tick(now_ms, &mut out),
             Input::Message { from, msg } => {
                 if from != self.leader {
-                    // A follower converses only with its leader — except
-                    // for relayed broadcast frames, which arrive from a
-                    // relay peer. Relayed traffic never counts as leader
-                    // contact (failure detection rides the direct pings)
-                    // and is never fatal. Everything else is dropped.
-                    if let Message::Forward { inner } = msg {
-                        self.on_forward(inner, false, &mut out);
-                    }
+                    // A follower converses only with its leader.
                     return out;
                 }
                 self.last_leader_contact_ms = self.now_ms;
@@ -294,8 +273,6 @@ impl Follower {
             Message::UpToDate { commit_to } => self.on_up_to_date(commit_to, out),
             Message::Propose { txn, commit_up_to } => self.on_propose(txn, commit_up_to, out),
             Message::Commit { zxid } => self.on_commit(zxid, out),
-            Message::Forward { inner } => self.on_forward(inner, true, out),
-            Message::RelayAssign { members } => self.on_relay_assign(members),
             Message::Ping { last_committed } => {
                 if self.phase == Phase::Broadcasting {
                     self.advance_watermark(last_committed, out);
@@ -553,12 +530,11 @@ impl Follower {
             return;
         }
         if txn.zxid <= self.history.last_zxid() {
-            // Duplicate of a transaction already accepted — the leader
-            // replays from its (possibly stale) view of our ack point
-            // when it switches us between direct and relayed paths, so
-            // overlap is expected. Skip the append and ack (the original
-            // ack is in flight or already arrived), but the piggybacked
-            // watermark still carries fresh information.
+            // Duplicate of a transaction already accepted. The leader's
+            // FIFO stream never repeats a zxid, but skipping one is safe:
+            // the transaction is in our history and its original ack is
+            // in flight or already arrived, so there is nothing to append
+            // or ack. The piggybacked watermark may still be fresh.
             self.advance_watermark(commit_up_to, out);
             return;
         }
@@ -597,90 +573,6 @@ impl Follower {
                 out,
             );
         }
-    }
-
-    /// A relay-tree broadcast frame: the origin message encoded verbatim,
-    /// wrapped so it can hop leader → relay → member without re-encoding.
-    ///
-    /// Forwarded traffic is *advisory*: it rides a path that reassignment
-    /// can make stale (an old relay still draining its queue after we
-    /// switched direct, a frame for an epoch we left), so no violation
-    /// here is ever fatal — a bad frame is dropped and the direct stream,
-    /// pings, and the leader's stall detector heal the rest. Contrast
-    /// direct leader traffic, where the same violations abdicate.
-    ///
-    /// `from_leader` distinguishes relay duty from member consumption:
-    /// only frames received *directly from the leader* fan out to
-    /// `relay_group`, so dissemination depth is exactly two hops and a
-    /// stale cross-assignment (A's group says B while B's says A) can
-    /// never loop a frame.
-    fn on_forward(&mut self, inner: Bytes, from_leader: bool, out: &mut Vec<Action>) {
-        if self.phase != Phase::Broadcasting {
-            return;
-        }
-        if from_leader && !self.relay_group.is_empty() {
-            // Forward before processing locally: the group members see
-            // the same refcounted bytes the leader encoded once, and the
-            // driver ships them without a second serialization.
-            let to: Vec<ServerId> =
-                self.relay_group.iter().copied().filter(|&p| p != self.id).collect();
-            match to.len() {
-                0 => {}
-                1 => out.push(Action::Send {
-                    to: to[0],
-                    msg: Message::Forward { inner: inner.clone() },
-                }),
-                _ => out
-                    .push(Action::Broadcast { to, msg: Message::Forward { inner: inner.clone() } }),
-            }
-        }
-        let Ok(msg) = Message::decode_bytes(inner) else {
-            return; // malformed forwarded frame: drop, never abdicate
-        };
-        match msg {
-            Message::Propose { txn, commit_up_to } => {
-                self.on_relayed_propose(txn, commit_up_to, out)
-            }
-            // A relayed COMMIT is a plain watermark; the cap inside
-            // `advance_watermark` already makes it safe at any value.
-            Message::Commit { zxid } => self.advance_watermark(zxid, out),
-            // Only broadcast-path traffic rides the relay tree; anything
-            // else wrapped in a FORWARD is noise.
-            _ => {}
-        }
-    }
-
-    /// [`on_propose`](Self::on_propose) with every fatal branch softened
-    /// to a silent drop — see [`on_forward`](Self::on_forward) for why
-    /// relayed traffic must never abdicate. Acks still go directly to the
-    /// leader, keeping the quorum path star-shaped.
-    fn on_relayed_propose(&mut self, txn: Txn, commit_up_to: Zxid, out: &mut Vec<Action>) {
-        if txn.zxid.epoch() != self.current_epoch {
-            return;
-        }
-        if txn.zxid <= self.history.last_zxid() {
-            self.advance_watermark(commit_up_to, out);
-            return;
-        }
-        if !txn.zxid.follows(self.history.last_zxid()) {
-            return;
-        }
-        self.history.append(txn.clone());
-        let token = self.token(Pending::AckProposal(txn.zxid));
-        out.push(Action::Persist { token, req: PersistRequest::AppendTxns(vec![txn]) });
-        self.advance_watermark(commit_up_to, out);
-    }
-
-    /// The leader (re)assigned our relay group. Sent on the leader's own
-    /// FIFO channel, so it orders exactly against the FORWARD frames it
-    /// governs; an empty list demotes us back to a plain follower.
-    fn on_relay_assign(&mut self, members: Vec<ServerId>) {
-        if self.phase == Phase::Broadcasting {
-            self.relay_group = members;
-        }
-        // Outside the broadcast phase the assignment is stale by
-        // construction (the leader only appoints acked followers); ignore
-        // rather than abdicate.
     }
 
     fn on_persisted(&mut self, token: PersistToken, out: &mut Vec<Action>) {
@@ -866,141 +758,13 @@ mod tests {
         let t = txn(1, 1);
         let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
-        // A path-switch replay re-sends the same zxid, now carrying a
-        // fresher watermark: no second append/ack, but it must deliver.
+        // The same zxid again, now carrying a fresher watermark: no
+        // second append/ack, but it must deliver.
         let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: t.zxid }));
         assert!(!a.iter().any(|x| matches!(x, Action::Persist { .. })));
         assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
         assert!(a.iter().any(|x| matches!(x, Action::Deliver { txn } if txn.zxid == t.zxid)));
         assert_eq!(f.last_zxid(), t.zxid);
-    }
-
-    /// Wraps a message in a FORWARD frame the way the leader does: the
-    /// origin encoding, verbatim.
-    fn fwd(m: &Message) -> Message {
-        Message::Forward { inner: m.encode().into() }
-    }
-
-    #[test]
-    fn forwarded_propose_delivers_and_acks_directly_to_leader() {
-        let mut f = activated_follower();
-        let t = txn(1, 1);
-        let p = Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO };
-        // The frame arrives from a relay peer, not the leader.
-        let a = f.handle(Input::Message { from: ServerId(3), msg: fwd(&p) });
-        assert!(matches!(a[0], Action::Persist { .. }));
-        let a2 = complete_persists(&mut f, &a);
-        // The ack is a Send to the leader: the quorum path stays direct.
-        assert!(a2.iter().any(|x| matches!(x, Action::Send { to, msg: Message::Ack { zxid } }
-                if *to == LEADER && *zxid == t.zxid)));
-    }
-
-    #[test]
-    fn relay_refans_leader_frames_to_its_group_verbatim() {
-        let mut f = activated_follower();
-        let a = f.handle(msg(Message::RelayAssign { members: vec![ServerId(4), ServerId(5)] }));
-        assert!(a.is_empty());
-        assert_eq!(f.relay_group(), &[ServerId(4), ServerId(5)]);
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
-        let wrapped = fwd(&p);
-        let a = f.handle(msg(wrapped.clone()));
-        // The same bytes go out to the group before local processing.
-        let fanned = a
-            .iter()
-            .find_map(|x| match x {
-                Action::Broadcast { to, msg } => Some((to, msg)),
-                _ => None,
-            })
-            .expect("relay must re-forward");
-        assert_eq!(fanned.0, &vec![ServerId(4), ServerId(5)]);
-        assert_eq!(fanned.1, &wrapped);
-        // ...and the relay also consumes the proposal itself.
-        assert!(a.iter().any(|x| matches!(x, Action::Persist { .. })));
-    }
-
-    #[test]
-    fn frames_from_relay_peers_are_not_reforwarded() {
-        let mut f = activated_follower();
-        let a = f.handle(msg(Message::RelayAssign { members: vec![ServerId(4)] }));
-        assert!(a.is_empty());
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
-        // Stale cross-assignment: a frame from another relay. Consumed,
-        // never re-forwarded — forwarding depth is one hop past the leader.
-        let a = f.handle(Input::Message { from: ServerId(3), msg: fwd(&p) });
-        assert!(!a.iter().any(|x| matches!(x, Action::Broadcast { .. })));
-        assert!(a.iter().any(|x| matches!(x, Action::Persist { .. })));
-    }
-
-    #[test]
-    fn empty_relay_assign_demotes_relay() {
-        let mut f = activated_follower();
-        f.handle(msg(Message::RelayAssign { members: vec![ServerId(4)] }));
-        f.handle(msg(Message::RelayAssign { members: vec![] }));
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
-        let a = f.handle(msg(fwd(&p)));
-        assert!(!a.iter().any(|x| matches!(x, Action::Broadcast { .. })));
-    }
-
-    #[test]
-    fn bad_forwarded_traffic_is_never_fatal() {
-        let mut f = activated_follower();
-        let cases = vec![
-            // Not even a decodable message.
-            Message::Forward { inner: Bytes::from_static(&[0xff, 0x01, 0x02]) },
-            // Wrong epoch: fatal on the direct path, a drop here.
-            fwd(&Message::Propose { txn: txn(9, 1), commit_up_to: Zxid::ZERO }),
-            // Gap: fatal on the direct path, a drop here.
-            fwd(&Message::Propose { txn: txn(1, 7), commit_up_to: Zxid::ZERO }),
-            // Non-broadcast traffic has no business in a FORWARD.
-            fwd(&Message::Ping { last_committed: Zxid::ZERO }),
-            fwd(&Message::NewEpoch { epoch: Epoch(9) }),
-        ];
-        for m in cases {
-            let a = f.handle(Input::Message { from: ServerId(3), msg: m });
-            assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
-        }
-        assert_eq!(f.status(), FollowerStatus::Active);
-        assert_eq!(f.last_zxid(), Zxid::ZERO);
-    }
-
-    #[test]
-    fn forwarded_duplicate_advances_watermark_without_reappend() {
-        let mut f = activated_follower();
-        let t = txn(1, 1);
-        let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO }));
-        complete_persists(&mut f, &a);
-        let dup = fwd(&Message::Propose { txn: t.clone(), commit_up_to: t.zxid });
-        let a = f.handle(Input::Message { from: ServerId(3), msg: dup });
-        assert!(!a.iter().any(|x| matches!(x, Action::Persist { .. })));
-        assert!(a.iter().any(|x| matches!(x, Action::Deliver { txn } if txn.zxid == t.zxid)));
-    }
-
-    #[test]
-    fn forwarded_commit_is_a_clamped_watermark() {
-        let mut f = activated_follower();
-        let t = txn(1, 1);
-        let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO }));
-        complete_persists(&mut f, &a);
-        // Beyond accepted history: clamped, not fatal (direct COMMIT would
-        // abdicate here).
-        let a = f.handle(Input::Message {
-            from: ServerId(3),
-            msg: fwd(&Message::Commit { zxid: Zxid::new(Epoch(1), 9) }),
-        });
-        assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
-        assert!(a.iter().any(|x| matches!(x, Action::Deliver { txn } if txn.zxid == t.zxid)));
-    }
-
-    #[test]
-    fn relay_assign_outside_broadcast_is_ignored() {
-        let (mut f, _) = fresh();
-        let a = f.handle(msg(Message::RelayAssign { members: vec![ServerId(4)] }));
-        assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
-        assert!(f.relay_group().is_empty());
-        // Forwarded frames before activation are dropped too.
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
-        let a = f.handle(Input::Message { from: ServerId(3), msg: fwd(&p) });
-        assert!(a.is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! commits generated while a follower is syncing are queued per peer and
 //! flushed after `UPTODATE`, preserving the FIFO order the protocol needs.
 
-use crate::config::{ClusterConfig, Topology};
+use crate::config::ClusterConfig;
 use crate::delivery::deliver_committed;
 use crate::events::{Action, Input, PersistRequest, PersistToken, PersistentState, RejectReason};
 use crate::history::{History, SyncPlan};
@@ -260,28 +260,8 @@ enum PeerState {
     /// the final chunk).
     Syncing { queue: Vec<Message>, plan_end: Zxid, session: SyncSession },
     /// Fully synced and activated; `acked` is its cumulative ack watermark.
-    ///
-    /// `relay_ready` flips on the first `ACK` (proof the follower
-    /// processed `UPTODATE` and is in its broadcast phase); only ready
-    /// followers participate in the relay tree. `last_progress_ms` stamps
-    /// the last `acked` advance, for the relayed-member stall detector.
-    Active { acked: Zxid, relay_ready: bool, last_progress_ms: u64 },
+    Active { acked: Zxid },
 }
-
-/// Relay-tree dissemination plan (leader side, [`Topology::Relay`] only).
-/// Rebuilt from scratch by `recompute_topology` whenever membership or
-/// readiness changes; both maps stay empty under star topology.
-#[derive(Debug, Default)]
-struct RelayPlan {
-    /// relay → the group members it forwards broadcast frames to.
-    groups: BTreeMap<ServerId, Vec<ServerId>>,
-    /// member → its relay (reverse index; relays themselves are absent).
-    parent: BTreeMap<ServerId, ServerId>,
-}
-
-/// Below this many relay-ready followers a tree only adds a hop, so the
-/// plan stays star-shaped.
-const MIN_RELAY_FANOUT: usize = 4;
 
 #[derive(Debug)]
 struct Peer {
@@ -358,12 +338,6 @@ pub struct Leader {
     /// quorum-ack latency histogram. Bounded by the outstanding window and
     /// discarded with the incarnation.
     propose_times: BTreeMap<Zxid, u64>,
-    /// Current relay dissemination plan (empty under [`Topology::Star`]).
-    relay: RelayPlan,
-    /// Set when readiness or membership changed; the plan is rebuilt at
-    /// the end of the same `handle()` call, so a stale plan never
-    /// survives into the next input.
-    topology_dirty: bool,
 }
 
 impl Leader {
@@ -416,8 +390,6 @@ impl Leader {
             metrics: CoreMetrics::standalone(),
             tracer: Tracer::disabled(),
             propose_times: BTreeMap::new(),
-            relay: RelayPlan::default(),
-            topology_dirty: false,
         };
         let mut out = Vec::new();
         l.info_votes.insert(id, l.accepted_epoch);
@@ -538,7 +510,6 @@ impl Leader {
             Input::PeerDisconnected { peer } => {
                 self.peers.remove(&peer);
                 self.ack_ld.remove(&peer);
-                self.purge_from_plan(peer);
             }
             Input::Compact { through, snapshot } => {
                 let point = through.min(self.delivered_to);
@@ -554,12 +525,6 @@ impl Leader {
                     }
                 }
             }
-        }
-        // Rebuild the relay plan in the same input cycle that dirtied it:
-        // a stale plan must never route the next broadcast (its switch
-        // replays are what keep every per-path stream gap-free).
-        if self.topology_dirty && self.phase != Phase::Defunct {
-            self.recompute_topology(&mut out);
         }
         out
     }
@@ -592,45 +557,7 @@ impl Leader {
             alive.insert(self.id);
             if !self.config.is_quorum(&alive) {
                 self.abdicate("lost contact with a quorum", out);
-                return;
             }
-            self.detect_relay_stalls(now_ms);
-        }
-    }
-
-    /// Relayed-member stall detector. A member whose relay→member link
-    /// died while both still reach the leader is invisible to the
-    /// connection-level failure detector: pings flow, acks just stop.
-    /// If a relayed member stays behind the commit watermark with no ack
-    /// progress for a follower timeout, demote it to not-ready — the
-    /// plan rebuild (same input cycle) drops it from the tree and
-    /// replays it back onto the direct path. Readiness is re-earned on
-    /// its next ack, so a healthy member rejoins the tree quickly while
-    /// a truly cut one keeps falling back to direct.
-    fn detect_relay_stalls(&mut self, now_ms: u64) {
-        if self.relay.parent.is_empty() {
-            return;
-        }
-        let last_committed = self.history.last_committed();
-        let timeout = self.config.follower_timeout_ms;
-        let mut stalled = false;
-        for (id, p) in self.peers.iter_mut() {
-            if !self.relay.parent.contains_key(id) {
-                continue;
-            }
-            if let PeerState::Active { acked, relay_ready, last_progress_ms } = &mut p.state {
-                if *relay_ready
-                    && *acked < last_committed
-                    && now_ms.saturating_sub(*last_progress_ms) > timeout
-                {
-                    *relay_ready = false;
-                    *last_progress_ms = now_ms;
-                    stalled = true;
-                }
-            }
-        }
-        if stalled {
-            self.topology_dirty = true;
         }
     }
 
@@ -673,7 +600,6 @@ impl Leader {
     ) {
         // A (re)joining follower starts from a clean slate.
         self.ack_ld.remove(&from);
-        self.purge_from_plan(from);
         match self.phase {
             Phase::CollectingInfo => {
                 self.info_votes.insert(from, accepted_epoch);
@@ -1284,18 +1210,14 @@ impl Leader {
     /// the peer's acks.
     fn activate_peer(&mut self, from: ServerId, acked: Zxid, out: &mut Vec<Action>) {
         let peer = self.peers.get_mut(&from).expect("peer exists");
-        // Fresh activations start on the direct path (`relay_ready:
-        // false`); the first ack proves the follower reached its
-        // broadcast phase and promotes it into the relay plan.
-        let now_ms = self.now_ms;
-        let activated = PeerState::Active { acked, relay_ready: false, last_progress_ms: now_ms };
-        let (queue, plan_end) = match std::mem::replace(&mut peer.state, activated) {
-            PeerState::Syncing { queue, plan_end, .. } => (queue, plan_end),
-            other => {
-                peer.state = other;
-                return;
-            }
-        };
+        let (queue, plan_end) =
+            match std::mem::replace(&mut peer.state, PeerState::Active { acked }) {
+                PeerState::Syncing { queue, plan_end, .. } => (queue, plan_end),
+                other => {
+                    peer.state = other;
+                    return;
+                }
+            };
         let commit_to = self.history.last_committed().min(plan_end);
         out.push(Action::Send { to: from, msg: Message::UpToDate { commit_to } });
         for msg in queue {
@@ -1346,27 +1268,17 @@ impl Leader {
 
     /// Sends to active peers; queues for syncing peers (FIFO per peer).
     ///
-    /// Two or more targets produce a single [`Action::Broadcast`]
-    /// (targets in id order) so the driver can encode the message once
-    /// and fan out shared handles; a lone target stays a plain
-    /// [`Action::Send`].
-    ///
-    /// Under an active relay plan the fan-out splits: members of a relay
-    /// group are skipped here (their relay forwards to them), relays get
-    /// the message encoded once and wrapped in a [`Message::Forward`]
-    /// (which they both consume and re-forward verbatim), and everyone
-    /// else stays on the plain direct path. Leader socket writes per
-    /// transaction drop from O(N) to O(√N).
+    /// Dissemination is the paper's star (Phase 3): the leader writes
+    /// every broadcast frame to every active follower over that
+    /// follower's own FIFO channel. Two or more targets produce a single
+    /// [`Action::Broadcast`] (targets in id order) so the driver can
+    /// encode the message once and fan out shared handles; a lone target
+    /// stays a plain [`Action::Send`].
     fn broadcast(&mut self, msg: Message, out: &mut Vec<Action>) {
         let mut direct: Vec<ServerId> = Vec::with_capacity(self.peers.len());
         for (&id, peer) in self.peers.iter_mut() {
             match &mut peer.state {
-                PeerState::Active { .. }
-                    if !self.relay.parent.contains_key(&id)
-                        && !self.relay.groups.contains_key(&id) =>
-                {
-                    direct.push(id);
-                }
+                PeerState::Active { .. } => direct.push(id),
                 // Until `NEWLEADER` ships, the paced stream covers new
                 // history itself by extending from the log (see
                 // `try_release_chunk`); queueing the proposal too would
@@ -1377,16 +1289,6 @@ impl Leader {
                     queue.push(msg.clone());
                 }
                 _ => {}
-            }
-        }
-        if !self.relay.groups.is_empty() {
-            // One encode serves every relay *and* every hop below them:
-            // the relays re-forward these exact bytes.
-            let wrapped = Message::Forward { inner: msg.encode().into() };
-            let relays: Vec<ServerId> = self.relay.groups.keys().copied().collect();
-            match relays.len() {
-                1 => out.push(Action::Send { to: relays[0], msg: wrapped }),
-                _ => out.push(Action::Broadcast { to: relays, msg: wrapped }),
             }
         }
         match direct.len() {
@@ -1404,23 +1306,11 @@ impl Leader {
             return;
         }
         let Some(peer) = self.peers.get_mut(&from) else { return };
-        let mut advanced = false;
-        if let PeerState::Active { acked, relay_ready, last_progress_ms } = &mut peer.state {
-            if !*relay_ready {
-                // First ack since activation: the follower is provably in
-                // its broadcast phase (acks are sent nowhere else), so it
-                // can participate in the relay tree.
-                *relay_ready = true;
-                self.topology_dirty = true;
-            }
+        if let PeerState::Active { acked } = &mut peer.state {
             if zxid > *acked {
                 *acked = zxid;
-                *last_progress_ms = self.now_ms;
-                advanced = true;
+                self.try_commit(out);
             }
-        }
-        if advanced {
-            self.try_commit(out);
         }
     }
 
@@ -1524,134 +1414,6 @@ impl Leader {
         if self.pump_proposals(out) == 0 {
             self.broadcast(Message::Commit { zxid: z }, out);
         }
-    }
-
-    /// Drops every plan edge touching `id` (it disconnected or is
-    /// re-registering). Members whose relay vanished keep their `parent`
-    /// entry until the rebuild — the rebuild's diff is what generates
-    /// their switch replay, and `handle()` rebuilds before returning, so
-    /// the stale edge never routes a frame.
-    fn purge_from_plan(&mut self, id: ServerId) {
-        let mut changed = false;
-        if self.relay.groups.remove(&id).is_some() {
-            changed = true;
-        }
-        if let Some(relay) = self.relay.parent.remove(&id) {
-            if let Some(group) = self.relay.groups.get_mut(&relay) {
-                group.retain(|&m| m != id);
-            }
-            changed = true;
-        }
-        if changed {
-            self.topology_dirty = true;
-        }
-    }
-
-    /// Rebuilds the relay dissemination plan from the current set of
-    /// relay-ready followers and emits the switch traffic for every
-    /// follower whose path changed.
-    ///
-    /// Grouping: ready followers in id order, group size ⌈√m⌉, the first
-    /// of each group is its relay — ⌈m / ⌈√m⌉⌉ leader writes per frame.
-    ///
-    /// Path-switch safety: a follower's new path replays our view of its
-    /// history (`txns_after(acked)`) *on the new path itself*, so the
-    /// new stream is self-contained — nothing still in flight on the old
-    /// path is needed, and each per-path stream stays gap-free (FIFO
-    /// channels). Replay frames overlap whatever the follower already
-    /// holds; both automaton sides skip duplicates benignly.
-    /// `RELAYASSIGN` frames are emitted before the replays they govern
-    /// and ride the same FIFO channel, so a relay always learns its
-    /// group before the first frame it must forward.
-    fn recompute_topology(&mut self, out: &mut Vec<Action>) {
-        self.topology_dirty = false;
-        let old = std::mem::take(&mut self.relay);
-        if self.phase != Phase::Broadcasting {
-            return;
-        }
-        let ready: Vec<ServerId> = self
-            .peers
-            .iter()
-            .filter_map(|(&id, p)| match p.state {
-                PeerState::Active { relay_ready: true, .. } => Some(id),
-                _ => None,
-            })
-            .collect();
-        if self.config.topology == Topology::Relay && ready.len() >= MIN_RELAY_FANOUT {
-            let group_size = (ready.len() as f64).sqrt().ceil() as usize;
-            for chunk in ready.chunks(group_size) {
-                if chunk.len() < 2 {
-                    continue; // a lone trailing follower stays direct
-                }
-                let relay = chunk[0];
-                let members = chunk[1..].to_vec();
-                for &m in &members {
-                    self.relay.parent.insert(m, relay);
-                }
-                self.relay.groups.insert(relay, members);
-            }
-        }
-        // Assignments first: every relay whose group is new or changed,
-        // and an empty assignment to demote relays that lost theirs.
-        for (&relay, members) in &self.relay.groups {
-            if old.groups.get(&relay) != Some(members) {
-                out.push(Action::Send {
-                    to: relay,
-                    msg: Message::RelayAssign { members: members.clone() },
-                });
-            }
-        }
-        for &relay in old.groups.keys() {
-            if !self.relay.groups.contains_key(&relay) && self.peers.contains_key(&relay) {
-                out.push(Action::Send { to: relay, msg: Message::RelayAssign { members: vec![] } });
-            }
-        }
-        // Replays for every follower whose path changed. Switches onto a
-        // relay batch per relay — one pass from the smallest member ack
-        // covers the whole group, the rest skip duplicates.
-        let commit_up_to = self.history.last_committed();
-        let mut via_relay: BTreeMap<ServerId, Zxid> = BTreeMap::new();
-        let mut to_direct: Vec<(ServerId, Zxid)> = Vec::new();
-        for (&id, p) in &self.peers {
-            let PeerState::Active { acked, .. } = p.state else { continue };
-            let old_parent = old.parent.get(&id).copied();
-            let new_parent = self.relay.parent.get(&id).copied();
-            if old_parent == new_parent {
-                continue;
-            }
-            self.metrics.relay_reassignments.inc();
-            match new_parent {
-                Some(relay) => {
-                    let from = via_relay.entry(relay).or_insert(acked);
-                    *from = (*from).min(acked);
-                }
-                None => to_direct.push((id, acked)),
-            }
-        }
-        for (id, acked) in to_direct {
-            for txn in self.history.txns_after(acked) {
-                out.push(Action::Send {
-                    to: id,
-                    msg: Message::Propose { txn: txn.clone(), commit_up_to },
-                });
-            }
-        }
-        for (relay, from) in via_relay {
-            for txn in self.history.txns_after(from) {
-                let propose = Message::Propose { txn: txn.clone(), commit_up_to };
-                out.push(Action::Send {
-                    to: relay,
-                    msg: Message::Forward { inner: propose.encode().into() },
-                });
-            }
-        }
-    }
-
-    /// The current relay plan as `(relay, members)` pairs, for
-    /// observability (`/health`). Empty under star topology, below the
-    /// relay fan-out threshold, or before any follower is relay-ready.
-    pub fn relay_topology(&self) -> Vec<(ServerId, Vec<ServerId>)> {
-        self.relay.groups.iter().map(|(&r, members)| (r, members.clone())).collect()
     }
 }
 
@@ -1761,9 +1523,13 @@ mod tests {
         let mut l = established_leader();
         let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
         let zxid = Zxid::new(Epoch(1), 1);
-        // Propose fans out to both followers; persist requested.
-        assert!(matches!(sends_to(&a, F2)[0], Message::Propose { txn, .. } if txn.zxid == zxid));
-        assert!(matches!(sends_to(&a, F3)[0], Message::Propose { txn, .. } if txn.zxid == zxid));
+        // Propose fans out to both followers as one star broadcast;
+        // persist requested.
+        assert!(a.iter().any(|x| matches!(
+            x,
+            Action::Broadcast { to, msg: Message::Propose { txn, .. } }
+                if to == &vec![F2, F3] && txn.zxid == zxid
+        )));
         assert_eq!(l.outstanding(), 1);
         // Self persist alone: no commit (1 of 3).
         let a2 = complete_persists(&mut l, &a);
@@ -2693,207 +2459,5 @@ mod tests {
         let chunks = sync_chunks(over);
         assert_eq!(chunks.len(), 2, "one byte over the budget splits");
         assert_eq!((chunks[0].len(), chunks[1].len()), (3, 1));
-    }
-
-    // ---- relay-tree dissemination ------------------------------------
-
-    /// Drives a fresh n-ensemble leader (ids 1..=n, self = 1) all the way
-    /// to Broadcasting with every follower active, under `topology`.
-    fn leader_with_followers(n: u64, topology: Topology) -> Leader {
-        let mut config = ClusterConfig::majority((1..=n).map(ServerId));
-        config.topology = topology;
-        let (mut l, init) = Leader::new(ME, config, PersistentState::default(), Zxid::ZERO, 0);
-        assert!(init.is_empty());
-        let mut acc: Vec<Action> = Vec::new();
-        for f in 2..=n {
-            acc.extend(l.handle(msg(
-                ServerId(f),
-                Message::FollowerInfo { accepted_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
-            )));
-        }
-        complete_persists(&mut l, &acc.clone());
-        let mut acc: Vec<Action> = Vec::new();
-        for f in 2..=n {
-            acc.extend(l.handle(msg(
-                ServerId(f),
-                Message::AckEpoch { current_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
-            )));
-        }
-        complete_persists(&mut l, &acc.clone());
-        for f in 2..=n {
-            let _ = l.handle(msg(
-                ServerId(f),
-                Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO },
-            ));
-        }
-        assert!(l.is_established());
-        assert_eq!(l.active_followers().count(), (n - 1) as usize);
-        l
-    }
-
-    /// One committed transaction with every follower acking it — after
-    /// this, every follower is relay-ready and the plan (if any) is live.
-    fn propose_and_ack_all(l: &mut Leader, n: u64, counter: u32) -> Vec<Action> {
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
-        complete_persists(l, &a);
-        let zxid = Zxid::new(Epoch(1), counter);
-        let mut acc = Vec::new();
-        for f in 2..=n {
-            acc.extend(l.handle(msg(ServerId(f), Message::Ack { zxid })));
-        }
-        assert_eq!(l.last_committed(), zxid);
-        acc
-    }
-
-    fn groups_of(l: &Leader) -> BTreeMap<ServerId, Vec<ServerId>> {
-        l.relay_topology().into_iter().collect()
-    }
-
-    #[test]
-    fn relay_plan_forms_sqrt_groups_once_followers_ack() {
-        let mut l = leader_with_followers(9, Topology::Relay);
-        assert!(l.relay_topology().is_empty(), "no follower is relay-ready yet");
-        let a = propose_and_ack_all(&mut l, 9, 1);
-        // m = 8 ready followers, group size ⌈√8⌉ = 3, first of each
-        // chunk relays: [2,3,4] [5,6,7] [8,9].
-        let groups = groups_of(&l);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[&ServerId(2)], vec![ServerId(3), ServerId(4)]);
-        assert_eq!(groups[&ServerId(5)], vec![ServerId(6), ServerId(7)]);
-        assert_eq!(groups[&ServerId(8)], vec![ServerId(9)]);
-        // The final assignments went out to the relays.
-        assert!(sends_to(&a, ServerId(8)).iter().any(
-            |m| matches!(m, Message::RelayAssign { members } if members == &vec![ServerId(9)])
-        ));
-    }
-
-    #[test]
-    fn relay_broadcast_writes_once_per_relay_and_skips_members() {
-        let mut l = leader_with_followers(9, Topology::Relay);
-        propose_and_ack_all(&mut l, 9, 1);
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
-        let zxid = Zxid::new(Epoch(1), 2);
-        // Exactly one outbound frame: a FORWARD broadcast to the relays.
-        let broadcasts: Vec<_> = a
-            .iter()
-            .filter_map(|x| match x {
-                Action::Broadcast { to, msg } => Some((to, msg)),
-                Action::Send { .. } => panic!("no direct sends expected under a full plan"),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(broadcasts.len(), 1);
-        assert_eq!(broadcasts[0].0, &vec![ServerId(2), ServerId(5), ServerId(8)]);
-        let Message::Forward { inner } = broadcasts[0].1 else {
-            panic!("relays must receive FORWARD, got {}", broadcasts[0].1.kind())
-        };
-        // The wrapped bytes decode to the origin PROPOSE, verbatim.
-        match Message::decode_bytes(inner.clone()).unwrap() {
-            Message::Propose { txn, .. } => assert_eq!(txn.zxid, zxid),
-            m => panic!("expected wrapped PROPOSE, got {}", m.kind()),
-        }
-    }
-
-    #[test]
-    fn star_topology_never_forms_a_plan() {
-        let mut l = leader_with_followers(9, Topology::Star);
-        propose_and_ack_all(&mut l, 9, 1);
-        assert!(l.relay_topology().is_empty());
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
-        // Plain PROPOSE to all eight followers.
-        let targets: Vec<ServerId> = (2..=9).map(ServerId).collect();
-        assert!(a.iter().any(|x| matches!(
-            x,
-            Action::Broadcast { to, msg: Message::Propose { .. } } if to == &targets
-        )));
-    }
-
-    #[test]
-    fn small_ensembles_stay_star_under_relay_topology() {
-        let mut l = leader_with_followers(4, Topology::Relay);
-        propose_and_ack_all(&mut l, 4, 1);
-        // 3 ready followers < MIN_RELAY_FANOUT: a tree would only add a
-        // hop.
-        assert!(l.relay_topology().is_empty());
-    }
-
-    #[test]
-    fn relay_crash_reparents_members_with_replay_on_the_new_path() {
-        let reg = zab_metrics::Registry::new();
-        let mut l = leader_with_followers(9, Topology::Relay);
-        l.set_metrics(CoreMetrics::registered(&reg));
-        propose_and_ack_all(&mut l, 9, 1);
-        // A second proposal is in flight (acked by nobody) when relay 2
-        // crashes: the replay must carry it on each member's new path.
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
-        complete_persists(&mut l, &a);
-        let inflight = Zxid::new(Epoch(1), 2);
-        let before = reg.snapshot().counter("core.relay_reassignments");
-        let a = l.handle(Input::PeerDisconnected { peer: ServerId(2) });
-        // 7 ready followers → ⌈√7⌉ = 3 → [3,4,5] [6,7,8] [9]: relays 3
-        // and 6, follower 9 back to direct.
-        let groups = groups_of(&l);
-        assert_eq!(groups[&ServerId(3)], vec![ServerId(4), ServerId(5)]);
-        assert_eq!(groups[&ServerId(6)], vec![ServerId(7), ServerId(8)]);
-        assert_eq!(groups.len(), 2);
-        assert!(reg.snapshot().counter("core.relay_reassignments") > before);
-        // Assignments precede the replays they govern.
-        let to3 = sends_to(&a, ServerId(3));
-        assert!(
-            matches!(to3[0], Message::RelayAssign { members } if members == &vec![ServerId(4), ServerId(5)])
-        );
-        // The in-flight txn is replayed through the new relay...
-        assert!(to3.iter().any(|m| matches!(m, Message::Forward { inner }
-            if matches!(Message::decode_bytes(inner.clone()).unwrap(),
-                Message::Propose { txn, .. } if txn.zxid == inflight))));
-        // ...and straight to the follower that fell back to direct.
-        assert!(sends_to(&a, ServerId(9))
-            .iter()
-            .any(|m| matches!(m, Message::Propose { txn, .. } if txn.zxid == inflight)));
-        // Demoted relays are told to stop forwarding.
-        assert!(sends_to(&a, ServerId(5))
-            .iter()
-            .any(|m| matches!(m, Message::RelayAssign { members } if members.is_empty())));
-    }
-
-    #[test]
-    fn stalled_relayed_member_falls_back_to_direct() {
-        let mut l = leader_with_followers(9, Topology::Relay);
-        propose_and_ack_all(&mut l, 9, 1);
-        // Follower 9 (relayed under 8) stops acking: its relay link is
-        // cut, but it still reaches the leader (pongs keep flowing).
-        let _ = l.handle(Input::Tick { now_ms: 200 });
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
-        complete_persists(&mut l, &a);
-        let inflight = Zxid::new(Epoch(1), 2);
-        for f in 2..=8 {
-            let _ = l.handle(msg(ServerId(f), Message::Ack { zxid: inflight }));
-        }
-        let _ = l.handle(msg(ServerId(9), Message::Pong { last_zxid: Zxid::new(Epoch(1), 1) }));
-        assert_eq!(l.last_committed(), inflight);
-        // One follower timeout later with no ack progress: the stall
-        // detector demotes 9 and the rebuilt plan replays it directly.
-        let a = l.handle(Input::Tick { now_ms: 600 });
-        assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
-        let parents: Vec<ServerId> = groups_of(&l).values().flatten().copied().collect();
-        assert!(!parents.contains(&ServerId(9)), "9 must leave the tree");
-        assert!(sends_to(&a, ServerId(9))
-            .iter()
-            .any(|m| matches!(m, Message::Propose { txn, .. } if txn.zxid == inflight)));
-    }
-
-    #[test]
-    fn rejoining_member_is_purged_from_plan_before_resync() {
-        let mut l = leader_with_followers(9, Topology::Relay);
-        propose_and_ack_all(&mut l, 9, 1);
-        // Member 3 reconnects from scratch (same epoch fast path): it
-        // must leave the tree while it resyncs.
-        let _ = l.handle(msg(
-            ServerId(3),
-            Message::FollowerInfo { accepted_epoch: Epoch(1), last_zxid: Zxid::ZERO },
-        ));
-        let members: Vec<ServerId> = groups_of(&l).values().flatten().copied().collect();
-        assert!(!members.contains(&ServerId(3)));
-        assert!(!groups_of(&l).contains_key(&ServerId(3)));
     }
 }

@@ -63,7 +63,7 @@ pub mod messages;
 pub mod metrics;
 pub mod types;
 
-pub use config::{ClusterConfig, MajorityQuorum, QuorumSystem, Topology, WeightedQuorum};
+pub use config::{ClusterConfig, MajorityQuorum, QuorumSystem, WeightedQuorum};
 pub use delivery::{DeliveryHash, HashCheckpoint};
 pub use events::{Action, Input, PersistRequest, PersistToken, PersistentState, RejectReason};
 pub use follower::{Follower, FollowerStatus};
@@ -188,23 +188,6 @@ impl Zab {
         match self {
             Zab::Leader(l) => l.follower_lags(),
             Zab::Follower(_) => Vec::new(),
-        }
-    }
-
-    /// The relay dissemination tree as `(relay, members)` pairs: the full
-    /// plan on a leader, this process's own group on a relaying follower.
-    /// Empty under star topology (or when no plan is active).
-    pub fn relay_topology(&self) -> Vec<(ServerId, Vec<ServerId>)> {
-        match self {
-            Zab::Leader(l) => l.relay_topology(),
-            Zab::Follower(f) => {
-                let group = f.relay_group();
-                if group.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![(f.id(), group.to_vec())]
-                }
-            }
         }
     }
 }

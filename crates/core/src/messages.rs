@@ -23,7 +23,7 @@
 //! All messages encode to a stable binary format via [`Message::encode`] /
 //! [`Message::decode`]; the transport wraps them in checksummed frames.
 
-use crate::types::{Epoch, ServerId, Txn, Zxid};
+use crate::types::{Epoch, Txn, Zxid};
 use bytes::Bytes;
 use zab_wire::codec::{WireError, WireRead, WireWrite};
 
@@ -141,28 +141,6 @@ pub enum Message {
         /// Tail of the follower's history after applying the chunk.
         last_zxid: Zxid,
     },
-    /// Phase 3 (l → relay → f): a relayed broadcast frame. `inner` is the
-    /// origin message's wire encoding, carried **verbatim**: the leader
-    /// encodes the wrapped `Propose`/`Commit` once, every relay forwards
-    /// the same refcounted bytes to its group members, and group members
-    /// decode the identical frame the leader built — zero re-encoding on
-    /// the relay path. Forwarded traffic may lag or duplicate the direct
-    /// path after a topology change, so receivers treat any out-of-place
-    /// forwarded frame as benign noise, never a protocol violation.
-    Forward {
-        /// The origin message's encoded bytes (a `Message`, length-free;
-        /// the wrapper carries the length prefix on the wire).
-        inner: Bytes,
-    },
-    /// Phase 3 (l → relay): assign this follower a relay group. Sent on
-    /// the leader's FIFO channel, so ordering against subsequent
-    /// [`Message::Forward`]s is guaranteed: every forward queued after
-    /// the assignment fans out to exactly these members. An empty list
-    /// demotes the relay back to a plain follower.
-    RelayAssign {
-        /// Group members this relay forwards broadcast frames to.
-        members: Vec<ServerId>,
-    },
 }
 
 // Wire tags. Stable: appended-to only.
@@ -184,11 +162,8 @@ const TAG_PONG: u8 = 14;
 /// and it is rejected like any unknown tag.
 const TAG_PROPOSE_COMMIT: u8 = 15;
 /// Sync-stream chunk acknowledgement (paced catch-up flow control).
+/// Tags 17 and 18 (the retired relay-tree frames) are unassigned.
 const TAG_SYNC_ACK: u8 = 16;
-/// Relay-tree dissemination: a wrapped origin frame, forwarded verbatim.
-const TAG_FORWARD: u8 = 17;
-/// Relay-tree dissemination: group assignment for a relay.
-const TAG_RELAY_ASSIGN: u8 = 18;
 
 fn put_txns(buf: &mut Vec<u8>, txns: &[Txn]) {
     buf.put_u32_le_wire(txns.len() as u32);
@@ -226,8 +201,6 @@ impl Message {
             Message::Ping { .. } => "PING",
             Message::Pong { .. } => "PONG",
             Message::SyncAck { .. } => "SYNCACK",
-            Message::Forward { .. } => "FORWARD",
-            Message::RelayAssign { .. } => "RELAYASSIGN",
         }
     }
 
@@ -310,17 +283,6 @@ impl Message {
                 buf.put_u8_wire(TAG_SYNC_ACK);
                 buf.put_u64_le_wire(last_zxid.0);
             }
-            Message::Forward { inner } => {
-                buf.put_u8_wire(TAG_FORWARD);
-                buf.put_bytes_wire(inner);
-            }
-            Message::RelayAssign { members } => {
-                buf.put_u8_wire(TAG_RELAY_ASSIGN);
-                buf.put_u32_le_wire(members.len() as u32);
-                for m in members {
-                    buf.put_u64_le_wire(m.0);
-                }
-            }
         }
     }
 
@@ -390,15 +352,6 @@ impl Message {
             TAG_PING => Message::Ping { last_committed: Zxid(cur.get_u64_le_wire()?) },
             TAG_PONG => Message::Pong { last_zxid: Zxid(cur.get_u64_le_wire()?) },
             TAG_SYNC_ACK => Message::SyncAck { last_zxid: Zxid(cur.get_u64_le_wire()?) },
-            TAG_FORWARD => Message::Forward { inner: cur.get_bytes_wire()? },
-            TAG_RELAY_ASSIGN => {
-                let n = cur.get_u32_le_wire()? as usize;
-                let mut members = Vec::with_capacity(n.min(cur.remaining() / 8 + 1));
-                for _ in 0..n {
-                    members.push(ServerId(cur.get_u64_le_wire()?));
-                }
-                Message::RelayAssign { members }
-            }
             tag => return Err(WireError::InvalidTag { tag, context: "Message" }),
         };
         Ok(msg)
@@ -437,14 +390,6 @@ mod tests {
             Message::Ping { last_committed: Zxid::new(Epoch(4), 1) },
             Message::Pong { last_zxid: Zxid::new(Epoch(4), 1) },
             Message::SyncAck { last_zxid: Zxid::new(Epoch(4), 1) },
-            Message::Forward {
-                inner: Bytes::from(
-                    Message::Propose { txn: txn(4, 3), commit_up_to: Zxid::new(Epoch(4), 2) }
-                        .encode(),
-                ),
-            },
-            Message::RelayAssign { members: vec![ServerId(3), ServerId(7)] },
-            Message::RelayAssign { members: vec![] },
         ]
     }
 
@@ -460,8 +405,9 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        // 10 is the retired watermark-less PROPOSE tag: unassigned now.
-        for tag in [10, 0xFF] {
+        // 10 is the retired watermark-less PROPOSE tag, 17 and 18 the
+        // retired relay-tree frames: unassigned now.
+        for tag in [10, 17, 18, 0xFF] {
             assert_eq!(
                 Message::decode(&[tag]),
                 Err(WireError::InvalidTag { tag, context: "Message" })
@@ -485,49 +431,10 @@ mod tests {
     fn kind_names_are_distinct_per_tag() {
         let mut kinds: Vec<&str> = all_variants().iter().map(|m| m.kind()).collect();
         kinds.dedup();
-        // all_variants has duplicate kinds (two SyncDiff, two Propose,
-        // and two RelayAssign cases).
+        // all_variants has duplicate kinds (two SyncDiff and two Propose
+        // cases).
         let unique: std::collections::BTreeSet<&str> = kinds.iter().copied().collect();
-        assert_eq!(unique.len(), 17);
-    }
-
-    #[test]
-    fn forward_wrapped_propose_is_byte_identical_to_origin() {
-        // The relay contract: the leader wraps the origin frame's exact
-        // bytes, and unwrapping on the other side yields those exact
-        // bytes back — so a group member decodes the identical Propose
-        // the leader encoded, no matter how many relays it crossed.
-        let origin = Message::Propose {
-            txn: Txn::new(Zxid::new(Epoch(7), 42), vec![0x5A; 128]),
-            commit_up_to: Zxid::new(Epoch(7), 40),
-        };
-        let origin_wire = origin.encode();
-        let wrapped = Message::Forward { inner: Bytes::from(origin_wire.clone()) };
-        let wire = wrapped.encode();
-        let Message::Forward { inner } = Message::decode(&wire).expect("forward decodes") else {
-            panic!("decoded to a different variant");
-        };
-        assert_eq!(&inner[..], &origin_wire[..], "inner bytes changed in transit");
-        assert_eq!(Message::decode_bytes(inner).expect("inner decodes"), origin);
-    }
-
-    #[test]
-    fn forward_round_trips_many_inner_shapes() {
-        // Lightweight property sweep: for every variant, wrapping its
-        // encoding in a Forward and unwrapping returns identical bytes,
-        // including through a double-wrap (relay of a relay).
-        for origin in all_variants() {
-            let origin_wire = Bytes::from(origin.encode());
-            let once = Message::Forward { inner: origin_wire.clone() };
-            let twice = Message::Forward { inner: Bytes::from(once.encode()) };
-            let outer = Message::decode(&twice.encode()).expect("outer decodes");
-            let Message::Forward { inner: mid } = outer else { panic!("not a forward") };
-            let Message::Forward { inner } = Message::decode_bytes(mid).expect("mid decodes")
-            else {
-                panic!("not a nested forward");
-            };
-            assert_eq!(&inner[..], &origin_wire[..], "bytes diverged for {}", origin.kind());
-        }
+        assert_eq!(unique.len(), 15);
     }
 
     #[test]

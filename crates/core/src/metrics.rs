@@ -48,12 +48,6 @@ pub struct CoreMetrics {
     /// a growing counter under steady load means the admission window
     /// above is letting more in than the pipeline drains.
     pub requests_rejected: Arc<Counter>,
-    /// Relay-tree parent changes (leader side): a follower switching
-    /// between direct and relayed dissemination, or between relays.
-    /// Spikes when relays crash (orphans re-parent to the leader) and on
-    /// membership churn; a steady climb means the stall detector is
-    /// flapping members between paths.
-    pub relay_reassignments: Arc<Counter>,
 }
 
 impl CoreMetrics {
@@ -71,7 +65,6 @@ impl CoreMetrics {
             snap_syncs: Arc::new(Counter::default()),
             diff_syncs: Arc::new(Counter::default()),
             requests_rejected: Arc::new(Counter::default()),
-            relay_reassignments: Arc::new(Counter::default()),
         }
     }
 
@@ -89,7 +82,6 @@ impl CoreMetrics {
             snap_syncs: reg.counter("core.snap_syncs"),
             diff_syncs: reg.counter("core.diff_syncs"),
             requests_rejected: reg.counter("core.requests_rejected"),
-            relay_reassignments: reg.counter("core.relay_reassignments"),
         }
     }
 }

@@ -44,11 +44,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_zxid().prop_map(|zxid| Message::Commit { zxid }),
         arb_zxid().prop_map(|last_committed| Message::Ping { last_committed }),
         arb_zxid().prop_map(|last_zxid| Message::Pong { last_zxid }),
-        prop::collection::vec(any::<u8>(), 0..64)
-            .prop_map(|b| Message::Forward { inner: Bytes::from(b) }),
-        prop::collection::vec(1u64..64, 0..8).prop_map(|ids| Message::RelayAssign {
-            members: ids.into_iter().map(zab_core::ServerId).collect(),
-        }),
     ]
 }
 
@@ -76,28 +71,6 @@ proptest! {
     #[test]
     fn message_decode_total(data in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = Message::decode(&data);
-    }
-
-    /// The relay contract: a FORWARD wraps the origin PROPOSE frame
-    /// verbatim — after a round trip over the wire the carried bytes are
-    /// identical to the origin encoding, and decoding them yields the
-    /// origin message. This is what lets relays fan out the received
-    /// `Bytes` without re-encoding.
-    #[test]
-    fn forward_wrapped_propose_is_byte_identical(
-        txn in arb_txn(),
-        commit_up_to in arb_zxid(),
-    ) {
-        let origin = Message::Propose { txn, commit_up_to };
-        let origin_bytes = origin.encode();
-        let fwd = Message::Forward { inner: Bytes::from(origin_bytes.clone()) };
-        match Message::decode(&fwd.encode()).unwrap() {
-            Message::Forward { inner } => {
-                prop_assert_eq!(inner.as_ref(), origin_bytes.as_slice());
-                prop_assert_eq!(Message::decode_bytes(inner).unwrap(), origin);
-            }
-            other => prop_assert!(false, "decoded to {:?}", other),
-        }
     }
 
     /// Zxid packing is a bijection and order-preserving.

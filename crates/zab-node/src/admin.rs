@@ -64,12 +64,6 @@ pub(crate) struct HealthState {
     /// Peers this replica is catch-up syncing right now (leaders only;
     /// empty elsewhere). Mirrors [`zab_core::Leader::syncing_peers`].
     pub syncing: Vec<SyncingPeer>,
-    /// Configured dissemination topology (`"star"` or `"relay"`).
-    pub topology: &'static str,
-    /// Live relay plan as `(relay, members)` pairs: the whole plan on the
-    /// leader, this node's own group on a relaying follower, empty
-    /// otherwise. Mirrors [`zab_core::Zab::relay_topology`].
-    pub relay_groups: Vec<(u64, Vec<u64>)>,
     /// Per-follower replication lag against the committed frontier
     /// (leaders only; empty elsewhere). Mirrors
     /// [`zab_core::Leader::follower_lags`].
@@ -134,8 +128,6 @@ impl HealthState {
             last_committed: 0,
             peers: peers.into_iter().map(|p| (p, PeerHealth::default())).collect(),
             syncing: Vec::new(),
-            topology: "star",
-            relay_groups: Vec::new(),
             lag: Vec::new(),
             delivery: DeliveryState::default(),
         }
@@ -361,17 +353,9 @@ fn health_json(
     health: &Mutex<HealthState>,
 ) -> String {
     let role = *role.lock();
-    let (last_committed, peers, syncing, topology, relay_groups, lag, delivery) = {
+    let (last_committed, peers, syncing, lag, delivery) = {
         let h = health.lock();
-        (
-            h.last_committed,
-            h.peers.clone(),
-            h.syncing.clone(),
-            h.topology,
-            h.relay_groups.clone(),
-            h.lag.clone(),
-            h.delivery.clone(),
-        )
+        (h.last_committed, h.peers.clone(), h.syncing.clone(), h.lag.clone(), h.delivery.clone())
     };
     // `active` means "serving its role": an established leader or a
     // synced follower. `leader` is null while looking or faulted.
@@ -422,21 +406,7 @@ fn health_json(
             s.peer, s.chunks_remaining, s.bytes_remaining
         );
     }
-    let _ = write!(out, "],\"topology\":\"{topology}\",\"relay_groups\":{{");
-    for (i, (relay, members)) in relay_groups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{relay}\":[");
-        for (j, m) in members.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{m}");
-        }
-        out.push(']');
-    }
-    out.push_str("},\"lag\":[");
+    out.push_str("],\"lag\":[");
     for (i, l) in lag.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -619,21 +589,6 @@ mod tests {
             ),
             "body: {body}"
         );
-        assert!(body.contains("\"topology\":\"star\""), "body: {body}");
-        assert!(body.contains("\"relay_groups\":{}"), "body: {body}");
-    }
-
-    #[test]
-    fn health_route_reports_relay_topology() {
-        let (server, _, health) = server();
-        {
-            let mut h = health.lock();
-            h.topology = "relay";
-            h.relay_groups = vec![(2, vec![3, 4]), (5, vec![6])];
-        }
-        let (_, body) = get(server.addr(), "/health");
-        assert!(body.contains("\"topology\":\"relay\""), "body: {body}");
-        assert!(body.contains("\"relay_groups\":{\"2\":[3,4],\"5\":[6]}"), "body: {body}");
     }
 
     #[test]

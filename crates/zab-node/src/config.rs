@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use zab_core::{ClusterConfig, ServerId, Topology};
+use zab_core::{ClusterConfig, ServerId};
 use zab_election::ElectionConfig;
 
 /// Default [`NodeConfig::submit_window`]. Throughput against requests in
@@ -99,14 +99,6 @@ impl NodeConfig {
     /// [`NodeConfig::tracing`]).
     pub fn with_tracing(mut self, enabled: bool) -> NodeConfig {
         self.tracing = enabled;
-        self
-    }
-
-    /// Sets the broadcast dissemination topology (see
-    /// [`zab_core::Topology`]). Every node of an ensemble must agree —
-    /// the leader builds the plan, followers relay when assigned.
-    pub fn with_topology(mut self, topology: Topology) -> NodeConfig {
-        self.cluster.topology = topology;
         self
     }
 }

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use zab_core::{
-    Action, CoreMetrics, DeliveryHash, Epoch, Input, Message, PersistRequest, PersistToken,
-    ServerId, Topology, Txn, Zab, Zxid,
+    Action, CoreMetrics, DeliveryHash, Epoch, Input, PersistRequest, PersistToken, ServerId, Txn,
+    Zab, Zxid,
 };
 use zab_election::{Process, ProcessOutput};
 use zab_log::{FileStorage, LogMetrics, MemStorage, Recovered, Storage, StorageError};
@@ -240,10 +240,6 @@ impl<A: Application> Replica<A> {
         let health = Arc::new(Mutex::new(HealthState::new(
             cfg.peers.keys().filter(|p| **p != id).map(|p| p.0),
         )));
-        health.lock().topology = match cfg.cluster.topology {
-            Topology::Star => "star",
-            Topology::Relay => "relay",
-        };
         let admin = match cfg.admin_addr {
             Some(addr) => Some(AdminServer::start(
                 addr,
@@ -328,7 +324,6 @@ impl<A: Application> Replica<A> {
             registry: Arc::clone(&metrics),
             core_metrics: CoreMetrics::registered(&metrics),
             node_metrics: node_metrics.clone(),
-            relay_forwards: metrics.counter("transport.relay_forwards"),
             election_started_ms: None,
             pending_submits: VecDeque::new(),
             tracer,
@@ -495,10 +490,6 @@ struct EventLoop<A: Application> {
     registry: Arc<Registry>,
     core_metrics: CoreMetrics,
     node_metrics: NodeMetrics,
-    /// Relay-tree FORWARD frames queued outbound, one count per target
-    /// (a leader wrapping for its relays and a relay re-fanning to its
-    /// group both count here).
-    relay_forwards: Arc<zab_metrics::Counter>,
     /// When the current election round started (None while decided).
     election_started_ms: Option<u64>,
     /// Broadcast-but-undelivered client submissions (primary only; FIFO
@@ -765,16 +756,8 @@ impl<A: Application> EventLoop<A> {
     /// Carries out one action of the automaton.
     fn on_action(&mut self, a: Action) {
         match a {
-            Action::Send { to, msg } => {
-                if matches!(msg, Message::Forward { .. }) {
-                    self.relay_forwards.inc();
-                }
-                self.transport.queue(to, TransportMsg::Zab(msg))
-            }
+            Action::Send { to, msg } => self.transport.queue(to, TransportMsg::Zab(msg)),
             Action::Broadcast { to, msg } => {
-                if matches!(msg, Message::Forward { .. }) {
-                    self.relay_forwards.add(to.len() as u64);
-                }
                 // One encode, one frame, shared across every target's
                 // write buffer.
                 self.transport.queue_broadcast(&to, TransportMsg::Zab(msg));
@@ -920,11 +903,6 @@ impl<A: Application> EventLoop<A> {
                         bytes_remaining: p.bytes_remaining,
                     })
                     .collect();
-                h.relay_groups = zab
-                    .relay_topology()
-                    .into_iter()
-                    .map(|(r, members)| (r.0, members.into_iter().map(|m| m.0).collect()))
-                    .collect();
                 h.lag = lags
                     .iter()
                     .map(|l| LagEntry {
@@ -952,7 +930,6 @@ impl<A: Application> EventLoop<A> {
         } else {
             let mut h = self.health.lock();
             h.syncing.clear();
-            h.relay_groups.clear();
             h.lag.clear();
         }
         if self.delivery_hash.version() != self.published_hash_version {

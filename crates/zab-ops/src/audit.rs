@@ -201,8 +201,6 @@ mod tests {
             last_committed_zxid: committed,
             last_committed: format!("{}:{}", committed >> 32, committed & 0xffff_ffff),
             peers_reachable: Vec::new(),
-            topology: "star".to_string(),
-            relay_groups: Vec::new(),
             lag: Vec::new(),
             delivery: DeliveryWitness::default(),
             commit_latency_ms: LatencySummary::default(),

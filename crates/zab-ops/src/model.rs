@@ -69,10 +69,6 @@ pub struct NodeHealth {
     pub last_committed: String,
     /// Reachable peer ids (from the `peers` map).
     pub peers_reachable: Vec<u64>,
-    /// Configured dissemination topology (`"star"` / `"relay"`).
-    pub topology: String,
-    /// Live relay plan `(relay, members)`, when relaying.
-    pub relay_groups: Vec<(u64, Vec<u64>)>,
     /// Per-follower lag (leaders only; empty elsewhere).
     pub lag: Vec<LagRow>,
     /// Delivered-prefix hash witness.
@@ -124,14 +120,6 @@ impl NodeHealth {
                 }
             }
         }
-        let mut relay_groups = Vec::new();
-        if let Some(groups) = j.get("relay_groups").and_then(Json::members) {
-            for (relay, members) in groups {
-                let relay: u64 = relay.parse().map_err(|_| "relay id")?;
-                let members = members.items().iter().filter_map(Json::as_u64).collect();
-                relay_groups.push((relay, members));
-            }
-        }
         let lat = need(&j, "commit_latency_ms")?;
         Ok(NodeHealth {
             addr: addr.to_string(),
@@ -146,8 +134,6 @@ impl NodeHealth {
                 .ok_or("last_committed")?
                 .to_string(),
             peers_reachable,
-            topology: j.get("topology").and_then(Json::as_str).unwrap_or("star").to_string(),
-            relay_groups,
             lag,
             delivery: DeliveryWitness {
                 anchor_zxid: need_u64(delivery, "anchor_zxid")?,
@@ -195,7 +181,7 @@ mod tests {
         r#"{"node":1,"role":"leading","active":true,"epoch":1,"leader":1,"#,
         r#""last_committed":"1:3","last_committed_zxid":4294967299,"#,
         r#""peers":{"2":{"reachable":true,"failed_attempts":0},"3":{"reachable":false,"failed_attempts":4}},"#,
-        r#""syncing":[],"topology":"star","relay_groups":{},"#,
+        r#""syncing":[],"#,
         r#""lag":[{"peer":2,"acked_zxid":4294967299,"acked":"1:3","lag_txns":0,"syncing":false},"#,
         r#"{"peer":3,"acked_zxid":null,"acked":null,"lag_txns":null,"syncing":true}],"#,
         r#""delivery":{"anchor_zxid":4294967297,"last_zxid":4294967299,"hash":"00000000deadbeef","#,

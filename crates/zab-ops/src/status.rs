@@ -36,8 +36,8 @@ pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
         Some(l) => {
             let _ = writeln!(
                 out,
-                "ensemble: leader={} epoch={} committed={} topology={}",
-                l.node, l.epoch, l.last_committed, l.topology
+                "ensemble: leader={} epoch={} committed={}",
+                l.node, l.epoch, l.last_committed
             );
         }
         None => {
@@ -73,12 +73,6 @@ pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
                 let lag = r.lag_txns.map_or_else(|| "?".to_string(), |n| n.to_string());
                 let state = if r.syncing { "syncing" } else { "active" };
                 let _ = writeln!(out, "  {:<6} {:<12} {:>9} {:<8}", r.peer, acked, lag, state);
-            }
-        }
-        if !l.relay_groups.is_empty() {
-            let _ = writeln!(out, "relay plan:");
-            for (relay, members) in &l.relay_groups {
-                let _ = writeln!(out, "  relay {relay} -> {members:?}");
             }
         }
     }
@@ -141,12 +135,11 @@ pub fn render_status_json(snap: &EnsembleSnapshot) -> String {
             let _ = write!(
                 out,
                 "{{\"leader\":{},\"epoch\":{},\"last_committed_zxid\":{},\
-                 \"last_committed\":\"{}\",\"topology\":\"{}\"",
+                 \"last_committed\":\"{}\"",
                 l.node,
                 l.epoch,
                 l.last_committed_zxid,
-                esc(&l.last_committed),
-                esc(&l.topology)
+                esc(&l.last_committed)
             );
         }
         None => out.push_str("{\"leader\":null,\"epoch\":null,\"last_committed_zxid\":0"),
@@ -262,8 +255,6 @@ mod tests {
             last_committed_zxid: (1 << 32) | 9,
             last_committed: "1:9".to_string(),
             peers_reachable: vec![2],
-            topology: "star".to_string(),
-            relay_groups: Vec::new(),
             lag: vec![
                 LagRow {
                     peer: 2,

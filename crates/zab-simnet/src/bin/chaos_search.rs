@@ -1,15 +1,12 @@
 //! Seeded chaos sweep driver.
 //!
 //! ```text
-//! chaos_search [START_SEED] [COUNT] [TOPOLOGY]
+//! chaos_search [START_SEED] [COUNT]
 //! ```
 //!
 //! Runs `COUNT` (default 64) chaos schedules starting at `START_SEED`
 //! (default 0) with the default [`zab_simnet::ChaosConfig`] — including
-//! the post-convergence metrics cross-check. `TOPOLOGY` is `star`
-//! (default) or `relay`; `relay` runs a 9-node ensemble under relay-tree
-//! dissemination, so random crashes routinely hit live relays
-//! mid-broadcast and re-parenting is exercised under every other fault. On the first failure it
+//! the post-convergence metrics cross-check. On the first failure it
 //! prints the replayable `(seed, schedule)` report, writes it to
 //! `chaos-failure.txt` (or `$CHAOS_ARTIFACT` if set) for CI artifact
 //! upload alongside one `chaos-trace-n<ID>.json` flight-recorder dump
@@ -20,15 +17,13 @@
 //! Malformed arguments print usage and exit with status 2; they never
 //! panic.
 
-use zab_core::Topology;
 use zab_simnet::chaos::{self, ChaosConfig, ChaosReport};
 
 fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}");
-    eprintln!("usage: chaos_search [START_SEED] [COUNT] [TOPOLOGY]");
+    eprintln!("usage: chaos_search [START_SEED] [COUNT]");
     eprintln!("  START_SEED  first seed to run (u64, default 0)");
     eprintln!("  COUNT       number of seeds to run (u64, default 64)");
-    eprintln!("  TOPOLOGY    star (default) or relay (9-node relay-tree sweep)");
     std::process::exit(2);
 }
 
@@ -64,23 +59,16 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let start = parse_arg(args.next(), "START_SEED", 0);
     let count = parse_arg(args.next(), "COUNT", 64);
-    let cfg = match args.next().as_deref() {
-        None | Some("star") => ChaosConfig::default(),
-        Some("relay") => {
-            ChaosConfig { nodes: 9, topology: Topology::Relay, ..ChaosConfig::default() }
-        }
-        Some(other) => usage(&format!("TOPOLOGY must be star or relay, got {other:?}")),
-    };
+    let cfg = ChaosConfig::default();
     if let Some(extra) = args.next() {
         usage(&format!("unexpected argument {extra:?}"));
     }
 
     println!(
-        "chaos sweep: seeds {start}..{} ({} nodes, {:?} topology, {} steps/run, disk faults {}, \
+        "chaos sweep: seeds {start}..{} ({} nodes, {} steps/run, disk faults {}, \
          clock skew {}, metrics checks {})",
         start.saturating_add(count),
         cfg.nodes,
-        cfg.topology,
         cfg.steps,
         if cfg.disk_faults { "on" } else { "off" },
         if cfg.clock_skew { "on" } else { "off" },

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::fmt;
-use zab_core::{ServerId, Topology};
+use zab_core::ServerId;
 use zab_log::FaultOp;
 use zab_trace::TraceEvent;
 
@@ -134,10 +134,6 @@ pub struct ChaosConfig {
     /// After convergence, cross-check each survivor's metrics registry
     /// against the checker's ground truth (see [`run_schedule`]).
     pub check_metrics: bool,
-    /// Dissemination topology for the cluster under test. Under
-    /// [`Topology::Relay`] random crashes routinely hit live relays
-    /// mid-broadcast, exercising re-parenting under every other fault.
-    pub topology: Topology,
 }
 
 impl Default for ChaosConfig {
@@ -153,7 +149,6 @@ impl Default for ChaosConfig {
             clients: 4,
             payload_size: 16,
             check_metrics: true,
-            topology: Topology::Star,
         }
     }
 }
@@ -314,7 +309,6 @@ pub fn run_schedule(
         .seed(seed)
         .timeouts_ms(200, 200, 25)
         .compact_every(Some(64))
-        .topology(cfg.topology)
         .build();
     sim.run_until_leader(5_000_000);
     sim.install_closed_loop(ClosedLoopSpec {

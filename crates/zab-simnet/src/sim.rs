@@ -14,9 +14,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
-use zab_core::{
-    Action, ClusterConfig, CoreMetrics, Input, Message, PersistToken, ServerId, Topology, Zab,
-};
+use zab_core::{Action, ClusterConfig, CoreMetrics, Input, Message, PersistToken, ServerId, Zab};
 use zab_election::{ElectionConfig, Notification, Process, ProcessOutput};
 use zab_log::{FaultOp, FaultPlan, LogMetrics, MemStorage, Storage};
 use zab_metrics::{Clock, Gauge, ManualClock, Registry};
@@ -138,7 +136,6 @@ pub struct SimBuilder {
     compact_every: Option<u64>,
     sync_rate_bytes_per_sec: Option<u64>,
     trace_capacity: usize,
-    topology: Topology,
 }
 
 impl SimBuilder {
@@ -161,7 +158,6 @@ impl SimBuilder {
             compact_every: None,
             sync_rate_bytes_per_sec: None,
             trace_capacity: 4096,
-            topology: Topology::Star,
         }
     }
 
@@ -224,12 +220,6 @@ impl SimBuilder {
         self
     }
 
-    /// Broadcast dissemination topology (default [`Topology::Star`]).
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Failure-detection timeouts, in milliseconds.
     pub fn timeouts_ms(mut self, follower: u64, leader: u64, ping: u64) -> Self {
         self.follower_timeout_ms = follower;
@@ -251,7 +241,6 @@ impl SimBuilder {
         if let Some(rate) = self.sync_rate_bytes_per_sec {
             cluster.sync_rate_bytes_per_sec = rate;
         }
-        cluster.topology = self.topology;
         let election_cfg = ElectionConfig::new(ids.clone());
         let trace_clock = Arc::new(ManualClock::new());
         let mut sim = Sim {
@@ -328,8 +317,8 @@ pub struct Sim {
     link_last_arrival: BTreeMap<(ServerId, ServerId), u64>,
     /// Per node: when its NIC egress becomes free.
     egress_free: BTreeMap<ServerId, u64>,
-    /// Per node: total protocol bytes pushed onto its NIC (the quantity
-    /// the relay tree is supposed to flatten at the leader).
+    /// Per node: total protocol bytes pushed onto its NIC (at the leader,
+    /// the O(N)-per-transaction cost of star dissemination).
     egress_bytes: BTreeMap<ServerId, u64>,
     rng: ChaCha8Rng,
     stats: SimStats,
@@ -398,16 +387,6 @@ impl Sim {
     /// simulation started (crashes do not reset it).
     pub fn egress_bytes(&self, id: ServerId) -> u64 {
         self.egress_bytes.get(&id).copied().unwrap_or(0)
-    }
-
-    /// The node's view of the dissemination tree: `(relay, members)`
-    /// pairs — the full plan on the leader, the node's own group on a
-    /// relay follower, empty on a leaf / star / down node.
-    pub fn relay_topology(&self, id: ServerId) -> Vec<(ServerId, Vec<ServerId>)> {
-        match self.nodes[&id].process.as_ref().and_then(Process::zab) {
-            Some(zab) => zab.relay_topology(),
-            None => Vec::new(),
-        }
     }
 
     /// A snapshot of a node's flight recorder. Unlike the metrics
@@ -797,10 +776,6 @@ impl Sim {
                 Message::SyncSnap { snapshot, txns, .. } => {
                     13 + snapshot.len() + txns.iter().map(|t| 12 + t.data.len()).sum::<usize>()
                 }
-                // tag + len prefix + verbatim inner frame.
-                Message::Forward { inner } => 5 + inner.len(),
-                // tag + count prefix + member ids.
-                Message::RelayAssign { members } => 5 + 8 * members.len(),
             },
         };
         FRAME + body
@@ -811,7 +786,7 @@ impl Sim {
             self.stats.messages_dropped += 1;
             return;
         }
-        // Random in-flight loss, independent of topology. The draw only
+        // Random in-flight loss. The draw only
         // happens with loss enabled so loss-free seeds are unperturbed.
         // Zab assumes reliable FIFO channels (TCP): a segment loss that
         // exhausts retransmission kills the connection, so a dropped

@@ -3,10 +3,8 @@
 //! seed, and a node fail-stopped by an injected disk fault leaves the
 //! remaining majority committing.
 
-use zab_core::Topology;
 use zab_log::FaultOp;
 use zab_simnet::chaos::{self, ChaosConfig};
-use zab_simnet::workload::ClosedLoopSpec;
 use zab_simnet::SimBuilder;
 
 /// The acceptance sweep: ≥ 64 seeds with crashes, restarts, partitions,
@@ -25,122 +23,6 @@ fn sweep_64_seeds_holds_all_invariants() {
     assert!(ops > 10_000, "sweep barely committed anything: {ops} ops");
     assert!(faults > 0, "no injected storage fault ever fired");
     assert!(dropped > 0, "no message was ever dropped");
-}
-
-/// The same sweep under relay-tree dissemination: random crashes land on
-/// live relays mid-broadcast, partitions sever relay groups from their
-/// parent, and every safety invariant (primary order included) must
-/// still hold. At n=9 the plan is a real two-level tree (√8 → groups of
-/// 3), so orphaned-member re-parenting is exercised constantly.
-#[test]
-fn sweep_64_seeds_relay_topology_holds_all_invariants() {
-    let cfg = ChaosConfig { nodes: 9, topology: Topology::Relay, ..ChaosConfig::default() };
-    let reports = chaos::sweep(0, 64, &cfg).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(reports.len(), 64);
-    let ops: u64 = reports.iter().map(|r| r.ops_completed).sum();
-    assert!(ops > 10_000, "relay sweep barely committed anything: {ops} ops");
-}
-
-/// The targeted relay-crash scenario: under sustained load, crash a live
-/// relay mid-broadcast. The leader must re-parent the orphaned group
-/// members (visible as `core.relay_reassignments`), commits must keep
-/// flowing, and after the casualty rejoins the cluster converges with
-/// zero primary-order violations.
-#[test]
-fn relay_crash_mid_broadcast_reparents_and_converges() {
-    let mut sim =
-        SimBuilder::new(9).seed(42).timeouts_ms(200, 200, 25).topology(Topology::Relay).build();
-    let leader = sim.run_until_leader(5_000_000).expect("initial leader");
-    sim.install_closed_loop(ClosedLoopSpec {
-        clients: 4,
-        payload_size: 16,
-        total_ops: u64::MAX / 2,
-        retry_delay_us: 5_000,
-        op_timeout_us: Some(1_000_000),
-    });
-    sim.run_for(1_000_000);
-
-    // The tree must have formed: at n=9 the 8 ready followers split into
-    // ⌈√8⌉ = 3-member groups headed by relays.
-    let plan = sim.relay_topology(leader);
-    assert!(!plan.is_empty(), "no relay plan formed under load at n=9");
-    let (relay, members) = plan[0].clone();
-    assert!(!members.is_empty(), "relay {relay} heads an empty group");
-    let reassign_before = sim.node_metrics(leader).counter("core.relay_reassignments");
-
-    // Kill the relay mid-stream; its members must be re-parented and the
-    // cluster must keep committing without ever violating primary order.
-    let committed_before = sim.applied_log(leader).len();
-    sim.crash(relay);
-    sim.run_for(2_000_000);
-    sim.check_invariants().unwrap();
-    assert!(sim.applied_log(leader).len() > committed_before, "commits stalled after relay crash");
-    let reassign_after = sim.node_metrics(leader).counter("core.relay_reassignments");
-    assert!(
-        reassign_after > reassign_before,
-        "relay crash caused no re-parenting: {reassign_before} -> {reassign_after}"
-    );
-    let replan = sim.relay_topology(leader);
-    assert!(
-        replan.iter().all(|(r, ms)| *r != relay && !ms.contains(&relay)),
-        "crashed relay {relay} still in the plan: {replan:?}"
-    );
-
-    // The casualty rejoins and the whole ensemble converges.
-    sim.restart(relay);
-    sim.run_for(1_000_000);
-    sim.stop_workload();
-    sim.run_for(3_000_000);
-    sim.check_invariants().unwrap();
-    sim.check_converged().unwrap();
-}
-
-/// Relay dissemination is an optimization, not a semantic change: the
-/// same seed and workload commit the same operations under star and
-/// relay, and both converge to identical applied state.
-#[test]
-fn relay_and_star_commit_identical_state() {
-    let run = |topology: Topology| {
-        let mut sim =
-            SimBuilder::new(9).seed(7).timeouts_ms(200, 200, 25).topology(topology).build();
-        let leader = sim.run_until_leader(5_000_000).expect("leader");
-        for i in 0..100u32 {
-            sim.submit(leader, i.to_le_bytes().to_vec());
-        }
-        sim.run_for(4_000_000);
-        sim.check_invariants().unwrap();
-        sim.check_converged().unwrap();
-        assert_eq!(sim.applied_log(leader).len(), 100);
-        sim.applied_log(leader).to_vec()
-    };
-    assert_eq!(run(Topology::Star), run(Topology::Relay));
-}
-
-/// A leaf follower sees relayed PROPOSE frames but must detect leader
-/// death through direct pings alone — forwarded traffic must not keep a
-/// dead leader "alive". Crash the leader under relay topology: a new
-/// leader is elected promptly and the cluster keeps committing.
-#[test]
-fn relay_topology_does_not_mask_leader_failure() {
-    let mut sim =
-        SimBuilder::new(9).seed(3).timeouts_ms(200, 200, 25).topology(Topology::Relay).build();
-    let leader = sim.run_until_leader(5_000_000).expect("initial leader");
-    for i in 0..50u32 {
-        sim.submit(leader, i.to_le_bytes().to_vec());
-    }
-    sim.run_for(1_000_000);
-    assert!(!sim.relay_topology(leader).is_empty(), "plan never formed");
-    sim.crash(leader);
-    let next = sim.run_until_leader(sim.now_us() + 5_000_000).expect("failover leader");
-    assert_ne!(next, leader);
-    let before = sim.applied_log(next).len();
-    sim.submit(next, b"post-failover".to_vec());
-    sim.run_for(1_000_000);
-    assert!(sim.applied_log(next).len() > before, "new leader not committing");
-    sim.restart(leader);
-    sim.run_for(4_000_000);
-    sim.check_invariants().unwrap();
-    sim.check_converged().unwrap();
 }
 
 /// A run replays byte-identically from its seed: same schedule, same

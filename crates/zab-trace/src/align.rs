@@ -15,7 +15,8 @@
 //! bounds exist for every live pair, and the midpoint of the interval is
 //! the offset estimate (its error is bounded by the one-way-delay
 //! asymmetry, microseconds on a LAN). Nodes with no direct edge to the
-//! reference (e.g. relay-tree leaves) align transitively through whatever
+//! reference (e.g. the other followers when a follower is the reference:
+//! followers never exchange frames) align transitively through whatever
 //! path of edges exists.
 
 use crate::{Stage, TraceEvent};
@@ -173,17 +174,17 @@ mod tests {
         assert!(aligned[0].ts_us <= aligned[1].ts_us);
     }
 
-    /// Relay tree: node 3 only talks to node 2, which talks to leader 1.
+    /// A chain: node 3 only talks to node 2, which talks to reference 1.
     /// The offset composes transitively through the BFS.
     #[test]
-    fn transitive_alignment_through_relay() {
+    fn transitive_alignment_through_an_intermediate_node() {
         let events = vec![
             // 1 ↔ 2, follower 2 clock +1000.
             ev(1, 100, Stage::WireOut, 9, 2),
             ev(2, 1150, Stage::WireIn, 9, 1),
             ev(2, 1200, Stage::WireOut, 9, 1),
             ev(1, 250, Stage::WireIn, 9, 2),
-            // 2 ↔ 3 (relay hop), node 3 clock +5000 (i.e. +4000 vs node 2).
+            // 2 ↔ 3, node 3 clock +5000 (i.e. +4000 vs node 2).
             ev(2, 1300, Stage::WireOut, 9, 3),
             ev(3, 5350, Stage::WireIn, 9, 2),
             ev(3, 5400, Stage::WireOut, 9, 2),
