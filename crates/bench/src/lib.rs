@@ -1,7 +1,7 @@
 //! # zab-bench — harness helpers for regenerating the paper's evaluation
 //!
-//! Each figure/table of the DSN'11 evaluation has a dedicated binary in
-//! `src/bin/` (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for
+//! Each simulator figure/table of the DSN'11 evaluation has a dedicated
+//! binary in `src/bin/` (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for
 //! captured results). This library holds the shared measurement plumbing:
 //! saturated-throughput runs on the deterministic simulator and table
 //! formatting.
@@ -106,84 +106,6 @@ pub fn finish(sim: Sim, msg0: u64, bytes0: u64) -> RunResult {
     }
 }
 
-/// Accumulator for an open-loop (offered-load) run.
-///
-/// The quantile estimate comes **only** from operations that actually
-/// delivered; shed and rejected operations are counted but never
-/// contribute a latency sample. Mixing them in is the classic
-/// coordinated-omission-in-reverse mistake: a shed op has no commit
-/// latency, and recording one (as zero, or as time-until-shed) skews
-/// p50/p99 toward whatever the overload path costs instead of what a
-/// successful client observed.
-#[derive(Debug, Clone, Default)]
-pub struct OpenLoopStats {
-    delivered_ms: Vec<f64>,
-    shed: u64,
-    rejected: u64,
-}
-
-impl OpenLoopStats {
-    /// An empty accumulator.
-    pub fn new() -> OpenLoopStats {
-        OpenLoopStats::default()
-    }
-
-    /// Records one delivered operation's commit latency.
-    pub fn record_delivered(&mut self, latency_ms: f64) {
-        self.delivered_ms.push(latency_ms);
-    }
-
-    /// Counts one operation shed at the admission gate (refused before
-    /// entering the pipeline — no latency exists for it).
-    pub fn record_shed(&mut self) {
-        self.shed += 1;
-    }
-
-    /// Counts one operation rejected after admission (leadership churn,
-    /// queue limit) — it entered the pipeline but never committed, so it
-    /// has no commit latency either.
-    pub fn record_rejected(&mut self) {
-        self.rejected += 1;
-    }
-
-    /// Operations that delivered.
-    pub fn delivered(&self) -> u64 {
-        self.delivered_ms.len() as u64
-    }
-
-    /// Operations shed at the admission gate.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Operations rejected after admission.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// The `p`-quantile (0.0–1.0) of *delivered* commit latency, in ms;
-    /// 0.0 when nothing delivered.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
-        if self.delivered_ms.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.delivered_ms.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let idx = ((v.len() as f64 - 1.0) * p).round() as usize;
-        v[idx]
-    }
-
-    /// Delivered operations per second over `elapsed_s`.
-    pub fn achieved_ops_per_sec(&self, elapsed_s: f64) -> f64 {
-        self.delivered() as f64 / elapsed_s
-    }
-
-    /// Shed operations per second over `elapsed_s`.
-    pub fn shed_ops_per_sec(&self, elapsed_s: f64) -> f64 {
-        self.shed as f64 / elapsed_s
-    }
-}
-
 /// Prints a table header row followed by a separator, markdown-style.
 pub fn print_header(cols: &[&str]) {
     println!("| {} |", cols.join(" | "));
@@ -214,55 +136,6 @@ mod tests {
         assert!(r.throughput_ops_per_sec > 0.0);
         assert!(r.latency.p50_us > 0);
         assert!(r.messages > 0);
-    }
-
-    #[test]
-    fn shed_and_rejected_ops_never_pollute_quantiles() {
-        let mut s = OpenLoopStats::new();
-        for _ in 0..100 {
-            s.record_delivered(2.0);
-        }
-        // A flood of sheds and rejects, each of which would read as a
-        // 0 ms (or multi-second) sample if it leaked into the estimator.
-        for _ in 0..10_000 {
-            s.record_shed();
-        }
-        for _ in 0..500 {
-            s.record_rejected();
-        }
-        assert_eq!(s.delivered(), 100);
-        assert_eq!(s.shed(), 10_000);
-        assert_eq!(s.rejected(), 500);
-        // Every quantile is exactly the delivered latency: the 10 500
-        // non-delivered ops contributed zero samples.
-        assert_eq!(s.percentile_ms(0.0), 2.0);
-        assert_eq!(s.percentile_ms(0.50), 2.0);
-        assert_eq!(s.percentile_ms(0.99), 2.0);
-        assert_eq!(s.percentile_ms(1.0), 2.0);
-        // Throughput accounting splits the same way.
-        assert_eq!(s.achieved_ops_per_sec(10.0), 10.0);
-        assert_eq!(s.shed_ops_per_sec(10.0), 1_000.0);
-    }
-
-    #[test]
-    fn empty_open_loop_stats_are_zero() {
-        let s = OpenLoopStats::new();
-        assert_eq!(s.percentile_ms(0.99), 0.0);
-        assert_eq!(s.achieved_ops_per_sec(1.0), 0.0);
-        assert_eq!(s.delivered(), 0);
-    }
-
-    #[test]
-    fn quantiles_order_delivered_samples() {
-        let mut s = OpenLoopStats::new();
-        // Insert out of order; quantiles must sort.
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            s.record_delivered(v);
-        }
-        s.record_shed();
-        assert_eq!(s.percentile_ms(0.0), 1.0);
-        assert_eq!(s.percentile_ms(0.5), 3.0);
-        assert_eq!(s.percentile_ms(1.0), 5.0);
     }
 
     #[test]

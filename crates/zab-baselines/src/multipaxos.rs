@@ -105,11 +105,6 @@ impl Acceptor {
             _ => None,
         }
     }
-
-    /// What this acceptor accepted in `slot`, if anything.
-    pub fn accepted_in(&self, slot: Slot) -> Option<(Ballot, TaggedValue)> {
-        self.accepted.get(&slot).copied()
-    }
 }
 
 /// State of one slot at the proposer.

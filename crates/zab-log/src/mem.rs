@@ -87,8 +87,6 @@ pub struct MemStorage {
     durable: Image,
     applied: Image,
     journal: Vec<JournalOp>,
-    /// Count of flushes performed (observability for flush-policy tests).
-    flush_count: u64,
     /// Injected-fault schedule, if any (see [`crate::fault`]).
     faults: Option<FaultPlan>,
     /// Instrument bundle (standalone by default; see
@@ -121,11 +119,6 @@ impl MemStorage {
     pub fn crash(&mut self) {
         self.applied = self.durable.clone();
         self.journal.clear();
-    }
-
-    /// Number of flushes performed.
-    pub fn flush_count(&self) -> u64 {
-        self.flush_count
     }
 
     /// Number of log entries currently applied (durable or not).
@@ -214,7 +207,6 @@ impl Storage for MemStorage {
         for op in self.journal.drain(..) {
             self.durable.apply(&op);
         }
-        self.flush_count += 1;
         self.metrics.fsyncs.inc();
         let end_us = self.metrics.clock.now_micros();
         self.metrics.flush_latency_us.record(end_us.saturating_sub(start_us));

@@ -19,7 +19,8 @@
 //! Malformed input gets an HTTP error, not a hang: unknown paths 404,
 //! non-GET 405, bad request lines / oversized headers / malformed query
 //! parameters 400, and a request that dribbles in slower than
-//! [`REQUEST_DEADLINE`] is cut off with 408 (slow-loris bound).
+//! [`REQUEST_DEADLINE`] is cut off with 408 (slow-loris bound). A response
+//! the client does not read within [`RESPONSE_DEADLINE`] is abandoned.
 //!
 //! The endpoint is unauthenticated and read-only; [`crate::NodeConfig`]
 //! documents that it should bind loopback unless the network is trusted.
@@ -52,6 +53,12 @@ const MAX_REQUEST_BYTES: usize = 4096;
 const REQUEST_DEADLINE: Duration = Duration::from_millis(1500);
 /// Per-read timeout inside the deadline window.
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
+/// Total time a response gets to drain into the client's socket. A client
+/// that asks for a large body (`/trace`) and never reads it fills the
+/// kernel send buffer and would block the write forever; past this
+/// deadline the response is abandoned, so the single admin thread — and
+/// `Replica` drop, which joins it — is never wedged for longer.
+const RESPONSE_DEADLINE: Duration = Duration::from_secs(3);
 
 /// Health facts only the event loop knows, shared with the admin thread.
 /// The loop updates it as events arrive; `GET /health` reads it.
@@ -340,10 +347,29 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    let deadline = Instant::now() + RESPONSE_DEADLINE;
+    let _ = write_by(stream, head.as_bytes(), deadline)
+        .and_then(|()| write_by(stream, body.as_bytes(), deadline));
     let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// Writes all of `buf` unless `deadline` passes first: each write waits at
+/// most the time left, so a client that stops reading costs a bounded wait.
+fn write_by(stream: &mut TcpStream, mut buf: &[u8], deadline: Instant) -> std::io::Result<()> {
+    while !buf.is_empty() {
+        let remaining = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|r| !r.is_zero())
+            .ok_or(std::io::ErrorKind::TimedOut)?;
+        stream.set_write_timeout(Some(remaining))?;
+        match stream.write(buf) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn health_json(
@@ -746,5 +772,49 @@ mod tests {
             waited >= REQUEST_DEADLINE && waited < REQUEST_DEADLINE + Duration::from_secs(2),
             "deadline not enforced: waited {waited:?}"
         );
+    }
+
+    #[test]
+    fn client_that_never_reads_cannot_wedge_the_endpoint() {
+        // A /trace body well past the kernel's loopback socket buffers:
+        // 100 000 events render to ~10 MiB of Chrome JSON.
+        let recorder = Recorder::new(1, 100_000, Arc::new(ManualClock::new()));
+        for i in 0..100_000u64 {
+            recorder.record(zab_trace::Stage::Deliver, (4 << 32) | i, 0);
+        }
+        assert!(trace_json(&recorder, &TraceQuery::default()).len() > 8 << 20);
+        let server = AdminServer::start(
+            "127.0.0.1:0".parse().expect("addr"),
+            1,
+            Arc::new(Registry::new()),
+            recorder,
+            Arc::new(Mutex::new(Role::Looking)),
+            Arc::new(Mutex::new(HealthState::new([2, 3]))),
+        )
+        .expect("bind");
+        let addr = server.addr();
+        // Declared after `server`, so a failing assertion drops this
+        // socket first and unblocks the server before its join.
+        let mut stalled = TcpStream::connect(addr).expect("connect");
+        stalled.write_all(b"GET /trace HTTP/1.0\r\n\r\n").expect("write");
+
+        let mut health = TcpStream::connect(addr).expect("connect");
+        health.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        health.write_all(b"GET /health HTTP/1.0\r\n\r\n").expect("write");
+        let mut response = String::new();
+        health.read_to_string(&mut response).expect("/health behind a stalled /trace");
+        assert!(response.starts_with("HTTP/1.0 200"), "response: {response}");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(server);
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "server drop hung behind a client that never reads"
+        );
+        dropper.join().expect("dropper thread");
+        drop(stalled);
     }
 }

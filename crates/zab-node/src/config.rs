@@ -7,9 +7,9 @@ use zab_core::{ClusterConfig, ServerId};
 use zab_election::ElectionConfig;
 
 /// Default [`NodeConfig::submit_window`]. Throughput against requests in
-/// flight flattens between 128 and 512 (`throughput_vs_outstanding`,
-/// BENCH_broadcast.json), so 256 keeps the pipeline full, and a deeper
-/// window would only add queueing delay under overload.
+/// flight flattens well before a few hundred outstanding proposals
+/// (`fig_outstanding`, EXPERIMENTS.md F3), so 256 keeps the pipeline full,
+/// and a deeper window would only add queueing delay under overload.
 const DEFAULT_SUBMIT_WINDOW: usize = 256;
 
 /// Everything needed to boot one replica.
@@ -40,11 +40,6 @@ pub struct NodeConfig {
     /// it. The endpoint is unauthenticated — bind loopback
     /// (`127.0.0.1:...`) unless the network is trusted.
     pub admin_addr: Option<SocketAddr>,
-    /// Record flight-recorder events (default true). With tracing off the
-    /// recorder still exists (so `/trace` serves an empty, valid
-    /// document) but no layer records into it — the configuration the
-    /// observability-overhead bench row compares against.
-    pub tracing: bool,
 }
 
 impl NodeConfig {
@@ -66,7 +61,6 @@ impl NodeConfig {
             snapshot_every: None,
             submit_window: DEFAULT_SUBMIT_WINDOW,
             admin_addr: None,
-            tracing: true,
         }
     }
 
@@ -92,13 +86,6 @@ impl NodeConfig {
     /// port; read it back via [`crate::Replica::admin_addr`]).
     pub fn with_admin(mut self, addr: SocketAddr) -> NodeConfig {
         self.admin_addr = Some(addr);
-        self
-    }
-
-    /// Enables or disables flight-recorder event recording (see
-    /// [`NodeConfig::tracing`]).
-    pub fn with_tracing(mut self, enabled: bool) -> NodeConfig {
-        self.tracing = enabled;
         self
     }
 }

@@ -206,10 +206,7 @@ impl<A: Application> Replica<A> {
         // so trace events and metric samples line up on one timeline.
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let recorder = Recorder::new(id.0, TRACE_CAPACITY, Arc::clone(&clock));
-        // Tracing off: the recorder stays (an empty `/trace` still serves)
-        // but every layer gets a disabled handle — zero record-path cost.
-        let tracer =
-            if cfg.tracing { Tracer::new(Arc::clone(&recorder)) } else { Tracer::disabled() };
+        let tracer = Tracer::new(Arc::clone(&recorder));
         storage.set_metrics(
             LogMetrics::registered(&metrics)
                 .with_clock(Arc::clone(&clock))

@@ -10,6 +10,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The endpoints
+/// nest at most four levels; the cap keeps a hostile `[[[[…` body from
+/// overflowing the stack of the recursive parser.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -47,7 +52,7 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses one complete JSON document (trailing whitespace allowed).
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { b: s.as_bytes(), i: 0 };
+        let mut p = Parser { b: s.as_bytes(), i: 0, depth: 0 };
         p.ws();
         let v = p.value()?;
         p.ws();
@@ -130,6 +135,8 @@ impl Json {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -167,8 +174,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -176,6 +183,16 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -335,6 +352,24 @@ mod tests {
         for bad in ["{", "{\"a\":}", "[1,]", "\"unterminated", "tru", "{}x", "", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A small explicit stack: without the depth cap this recursion
+        // overflows it long before the input runs out.
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let ok =
+                    Json::parse(&format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH)));
+                (ok.is_ok(), Json::parse(&"[".repeat(1 << 20)))
+            })
+            .expect("spawn")
+            .join()
+            .expect("parser thread");
+        assert!(parsed.0, "nesting at the cap must parse");
+        assert_eq!(parsed.1.map_err(|e| e.msg), Err("nesting too deep"));
     }
 
     #[test]

@@ -255,7 +255,6 @@ impl SimBuilder {
             link_epochs: BTreeMap::new(),
             link_last_arrival: BTreeMap::new(),
             egress_free: ids.iter().map(|&id| (id, 0)).collect(),
-            egress_bytes: ids.iter().map(|&id| (id, 0)).collect(),
             rng: ChaCha8Rng::seed_from_u64(self.seed),
             stats: SimStats::default(),
             broadcast_hashes: BTreeSet::new(),
@@ -317,9 +316,6 @@ pub struct Sim {
     link_last_arrival: BTreeMap<(ServerId, ServerId), u64>,
     /// Per node: when its NIC egress becomes free.
     egress_free: BTreeMap<ServerId, u64>,
-    /// Per node: total protocol bytes pushed onto its NIC (at the leader,
-    /// the O(N)-per-transaction cost of star dissemination).
-    egress_bytes: BTreeMap<ServerId, u64>,
     rng: ChaCha8Rng,
     stats: SimStats,
     /// Payload hashes of everything clients submitted (for the checker).
@@ -381,12 +377,6 @@ impl Sim {
     /// the node's current incarnation only.
     pub fn node_metrics(&self, id: ServerId) -> zab_metrics::Snapshot {
         self.nodes[&id].metrics.snapshot()
-    }
-
-    /// Total protocol bytes this node has pushed onto its NIC since the
-    /// simulation started (crashes do not reset it).
-    pub fn egress_bytes(&self, id: ServerId) -> u64 {
-        self.egress_bytes.get(&id).copied().unwrap_or(0)
     }
 
     /// A snapshot of a node's flight recorder. Unlike the metrics
@@ -802,7 +792,6 @@ impl Sim {
             self.nodes[&from].recorder.record(Stage::WireOut, zxid, to.0);
         }
         let size = Self::wire_size(&wire);
-        *self.egress_bytes.entry(from).or_insert(0) += size as u64;
         let start = self.now_us.max(self.egress_free[&from]);
         let ser_us = match self.cfg.egress_bytes_per_us {
             Some(bw) => (size as f64 / bw).ceil() as u64,

@@ -28,10 +28,7 @@
 //!   stores — ~6-7 ns marginal cost even with caches thrashed, because
 //!   there is no dependent pointer chase left to stall on. Misses
 //!   (first event on a thread, or a thread alternating recorders) fall
-//!   back to a registry walk that re-primes the line. A runtime gate
-//!   ([`Recorder::set_enabled`]) pauses recording without
-//!   reconfiguration; the check shares the cache line the fast path
-//!   already loads, so it is free when tracing is on.
+//!   back to a registry walk that re-primes the line.
 //! - [`Tracer`] is the cheap, cloneable handle threaded through the
 //!   layers. A disabled tracer (the default everywhere) is a no-op that
 //!   costs one branch.
@@ -62,8 +59,8 @@ use zab_metrics::Clock;
 pub enum Stage {
     /// A client arrived at the admission gate (before any queueing). The
     /// delta to [`Stage::Submit`] is exactly the admission cost: gate
-    /// wait plus command-queue time, the quantity the offered-load bench
-    /// attributes when it degrades under overload.
+    /// wait plus command-queue time, the quantity that grows first under
+    /// overload.
     Admit,
     /// A client handed the payload to the replica (leader submit gate).
     Submit,
@@ -424,11 +421,6 @@ thread_local! {
 pub struct Recorder {
     id: u64,
     node: u64,
-    /// Runtime gate (default on). Sits beside `id`/`node` so the check
-    /// shares the cache line every record already loads — pausing is an
-    /// operational control (shed tracing cost under incident load, or
-    /// A/B it in place), not a config rebuild.
-    enabled: std::sync::atomic::AtomicBool,
     capacity: usize,
     clock: Arc<dyn Clock>,
     rings: Mutex<Vec<Arc<Ring>>>,
@@ -453,26 +445,11 @@ impl Recorder {
         Arc::new(Recorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             node,
-            enabled: std::sync::atomic::AtomicBool::new(true),
             capacity: capacity.max(1),
             clock,
             rings: Mutex::new(Vec::new()),
             alive: Arc::new(()),
         })
-    }
-
-    /// Pauses (`false`) or resumes (`true`) recording at runtime. Paused
-    /// records cost one relaxed load and a branch; already-recorded
-    /// events stay readable. Takes effect promptly on every recording
-    /// thread (relaxed visibility — a handful of straggler events around
-    /// the toggle is fine for a flight recorder).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is currently enabled (see [`Recorder::set_enabled`]).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// The node id stamped on every event.
@@ -508,9 +485,6 @@ impl Recorder {
 
     /// Records an instant event at the current clock reading.
     pub fn record(&self, stage: Stage, zxid: u64, peer: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         HOT.with(|hot| {
             let h = hot.get();
             let ts_us =
@@ -524,9 +498,6 @@ impl Recorder {
     /// Records a span covering zxids `zxid..=zxid_end` from `start_us` to
     /// `end_us` (recorder clock readings; see [`Recorder::now_us`]).
     pub fn record_span(&self, stage: Stage, zxid: u64, zxid_end: u64, start_us: u64, end_us: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let ev = TraceEvent {
             ts_us: start_us,
             dur_us: end_us.saturating_sub(start_us),
@@ -734,7 +705,7 @@ pub struct StageDelta {
 }
 
 /// Computes consecutive-stage deltas per `(node, zxid)`: the time-in-stage
-/// breakdown `broadcast_bench --trace-out` aggregates into histograms.
+/// breakdown of each transaction on each replica.
 /// Storage spans are excluded (they cover ranges, not one transaction).
 pub fn stage_deltas(events: &[TraceEvent]) -> Vec<StageDelta> {
     let mut per_key: BTreeMap<(u64, u64), Vec<&TraceEvent>> = BTreeMap::new();
