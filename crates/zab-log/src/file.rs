@@ -2,9 +2,20 @@
 //!
 //! Layout inside the storage directory:
 //!
-//! - `log` — append-only transaction records (see [`crate::record`]);
-//!   truncation uses `set_len` on the intact prefix, exactly like
-//!   ZooKeeper's `Zxid`-indexed log truncation.
+//! - `log` — transaction records (see [`crate::record`]). The live records
+//!   run from offset 0 to the end given by the rules in [`crate::record`];
+//!   a stale tail of older records may follow, which appends overwrite.
+//!   Truncation uses `set_len` on the live prefix, like ZooKeeper's
+//!   `Zxid`-indexed log truncation.
+//! - `log.spare` — the previous `log`, kept for the next compaction (the
+//!   first compaction creates it). Neither log file is ever freed.
+//!   Compaction copies the live suffix over the front of the spare,
+//!   `fdatasync`s it, and swaps the two names with one
+//!   `renameat2(RENAME_EXCHANGE)` and a directory fsync; the replaced log
+//!   becomes the next spare. Once both files have grown to their working
+//!   size, appends overwrite allocated blocks: their `fdatasync` commits no
+//!   size change or block allocation, and no compaction frees blocks for
+//!   the next `fdatasync` to wait behind.
 //! - `epochs` — 12-byte checksummed record holding `acceptedEpoch` and
 //!   `currentEpoch`; replaced atomically (write temp file, fsync, rename).
 //! - `snapshot` — checksummed application snapshot; replaced atomically.
@@ -13,17 +24,29 @@
 //! `sync_data` on [`Storage::flush`]. Epoch and snapshot replacements are
 //! synchronous (they are rare and ordering-critical); log appends are the
 //! hot path and honor the flush boundary so drivers can group-commit.
+//! Compaction orders its steps snapshot durable → log synced → spare
+//! synced → exchange → directory fsync. A crash before the exchange is
+//! durable leaves an old `log` under a newer snapshot; its records at or
+//! below the snapshot are ignored, and the next compaction drops them.
+//!
+//! A directory written before the log files were recycled (one `log`,
+//! perhaps a `log.tmp` left by a compaction cut short) opens unchanged:
+//! `open` removes the `log.tmp`, and the first compaction creates the
+//! spare.
 
 use crate::fault::{check_fault, FaultOp, FaultPlan};
 use crate::metrics::LogMetrics;
 use crate::record::{
     decode_epochs, decode_snapshot, encode_epochs, encode_snapshot, log_record_len,
-    log_record_prefix, scan_log, RECORD_PREFIX_LEN,
+    log_record_prefix, scan, scan_log, ReadBytes, Tail, RECORD_PREFIX_LEN,
 };
 use crate::{Recovered, Storage, StorageError};
 use bytes::Bytes;
+use std::ffi::{c_char, CString};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
+use std::os::unix::ffi::OsStrExt;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use zab_core::{Epoch, History, Txn, Zxid};
 
@@ -45,7 +68,14 @@ use zab_core::{Epoch, History, Txn, Zxid};
 #[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
+    /// The live log, its position at the end of the live records.
     log: File,
+    /// `log.spare`, once it exists.
+    spare: Option<File>,
+    /// No intact record in the spare is above this zxid: the last zxid
+    /// when the spare was retired, or at open the last zxid (by the
+    /// invariant in [`crate::record`]).
+    spare_high: Zxid,
     /// In-memory index: (zxid, end offset in file) per record, ascending.
     index: Vec<(Zxid, u64)>,
     accepted_epoch: Epoch,
@@ -68,20 +98,21 @@ pub struct FileStorage {
 
 impl FileStorage {
     /// Opens (creating if needed) storage in `dir`, recovering any existing
-    /// state. A torn log tail is truncated away; mid-file corruption is a
-    /// hard error.
+    /// state. A torn log tail is truncated away and a stale one is kept;
+    /// mid-file corruption is a hard error (see [`crate::record`]).
     ///
     /// # Errors
     ///
-    /// I/O failures, or [`StorageError::Corrupt`] for unrecoverable
-    /// corruption (bad epoch record, bad snapshot, log disorder).
+    /// I/O failures, or [`StorageError::Corrupt`] /
+    /// [`StorageError::MidFileCorrupt`] for unrecoverable corruption (bad
+    /// epoch record, bad snapshot, rot in the log).
     pub fn open(dir: impl AsRef<Path>) -> Result<FileStorage, StorageError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
 
         let (accepted_epoch, current_epoch) = match fs::read(dir.join("epochs")) {
             Ok(data) => decode_epochs(&data)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Epoch::ZERO, Epoch::ZERO),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (Epoch::ZERO, Epoch::ZERO),
             Err(e) => return Err(e.into()),
         };
 
@@ -90,55 +121,61 @@ impl FileStorage {
                 let (zxid, payload) = decode_snapshot(data)?;
                 Some((payload, zxid))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
 
-        let log_path = dir.join("log");
+        // Left by a compaction cut short before logs were recycled: the
+        // `log` beside it is intact, and nothing writes this name now.
+        match fs::remove_file(dir.join("log.tmp")) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
+        let spare = match OpenOptions::new().read(true).write(true).open(dir.join("log.spare")) {
+            Ok(f) => Some(f),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
         let mut log = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&log_path)?;
-        let mut data = Vec::new();
-        log.read_to_end(&mut data)?;
-        let scan = scan_log(data);
-        if scan.resume_after_damage.is_some() {
+            .open(dir.join("log"))?;
+
+        // Read through a bounded buffer: only the index of the live
+        // records is kept. Records at or below the snapshot's zxid are
+        // leftovers of a compaction cut short before its exchange: indexed
+        // like any other, ignored by recover(), dropped by the next
+        // compaction.
+        let floor = snapshot.as_ref().map_or(Zxid::ZERO, |&(_, z)| z);
+        let mut index = Vec::new();
+        let scan = scan(&mut ReadBytes::new(&log), floor, |at, zxid, len| {
+            index.push((zxid, at + len));
+        })?;
+        let recovery_truncations = match scan.tail {
             // Intact records continue past the damage: bit-rot, not a torn
             // write. Truncating here would drop committed transactions, so
             // recovery refuses and leaves the file for forensics.
-            return Err(StorageError::MidFileCorrupt { offset: scan.valid_len });
-        }
-        let recovery_truncations = u64::from(scan.torn_tail);
-        if scan.torn_tail {
-            // Discard the torn tail, as ZooKeeper does on recovery.
-            log.set_len(scan.valid_len)?;
-            log.sync_data()?;
-        }
-        log.seek(SeekFrom::End(0))?;
-
-        // Records at or below the snapshot's zxid are leftovers of a
-        // compaction cut short between its two renames: indexed like any
-        // other, ignored by recover(), dropped by the next compaction.
-        let mut index = Vec::with_capacity(scan.txns.len());
-        let mut offset = 0u64;
-        let mut prev = Zxid::ZERO;
-        for txn in &scan.txns {
-            if txn.zxid <= prev {
-                return Err(StorageError::Corrupt(format!(
-                    "log out of order: {} after {}",
-                    txn.zxid, prev
-                )));
+            Tail::MidFileCorrupt(_) => {
+                return Err(StorageError::MidFileCorrupt { offset: scan.live_len })
             }
-            prev = txn.zxid;
-            offset += log_record_len(txn);
-            index.push((txn.zxid, offset));
-        }
+            // Discard the torn tail, as ZooKeeper does on recovery.
+            Tail::Torn => {
+                log.set_len(scan.live_len)?;
+                log.sync_data()?;
+                1
+            }
+            Tail::Clean | Tail::Stale => 0,
+        };
+        // Appends go where the live records end, over any stale tail.
+        log.seek(SeekFrom::Start(scan.live_len))?;
 
-        Ok(FileStorage {
+        let mut store = FileStorage {
             dir,
             log,
+            spare,
+            spare_high: Zxid::ZERO,
             index,
             accepted_epoch,
             current_epoch,
@@ -148,7 +185,9 @@ impl FileStorage {
             metrics: LogMetrics::standalone(),
             recovery_truncations,
             pending_flush_range: None,
-        })
+        };
+        store.spare_high = store.last_zxid();
+        Ok(store)
     }
 
     /// Installs (or clears) an injected-fault schedule. Subsequent storage
@@ -191,11 +230,12 @@ impl FileStorage {
         Ok(())
     }
 
+    fn snapshot_zxid(&self) -> Zxid {
+        self.snapshot.as_ref().map_or(Zxid::ZERO, |&(_, z)| z)
+    }
+
     fn last_zxid(&self) -> Zxid {
-        self.index
-            .last()
-            .map(|&(z, _)| z)
-            .unwrap_or_else(|| self.snapshot.as_ref().map_or(Zxid::ZERO, |&(_, z)| z))
+        self.index.last().map_or_else(|| self.snapshot_zxid(), |&(z, _)| z)
     }
 
     /// File offset where the indexed records end.
@@ -203,33 +243,124 @@ impl FileStorage {
         self.index.last().map_or(0, |&(_, end)| end)
     }
 
-    /// Replaces the log with its own byte range `[from, end of records)`,
-    /// `from` being a record boundary. The bytes are copied as they are —
-    /// never decoded, re-encoded or re-checksummed — so the cost is that of
-    /// the retained suffix, and whatever the prefix holds is not looked at.
-    fn rewrite_log(&mut self, from: u64) -> Result<(), StorageError> {
+    /// Makes `snapshot` at `zxid` durable, then the records after byte
+    /// `from` (a record boundary) the whole log.
+    fn install_snapshot(
+        &mut self,
+        snapshot: Bytes,
+        zxid: Zxid,
+        from: u64,
+    ) -> Result<(), StorageError> {
+        let start_us = self.metrics.clock.now_micros();
+        let last = self.last_zxid();
+        self.snapshot = Some((snapshot, zxid));
+        self.write_snapshot_file()?;
+        if from == self.log_end() && zxid < last {
+            // A snapshot below records this store holds (SNAP to a
+            // divergent follower): recycling would leave records above it.
+            self.empty_logs()?;
+        } else {
+            self.recycle_log(from, last)?;
+        }
+        self.metrics.record_compaction(start_us);
+        Ok(())
+    }
+
+    /// Makes the log's own byte range `[from, end of records)` the whole
+    /// live log. The range is copied as it is — never decoded, re-encoded
+    /// or re-checksummed — over the front of the spare, so the cost is that
+    /// of the retained suffix and whatever precedes it is not looked at.
+    /// Then the two files swap names. `last` is the last zxid before the
+    /// snapshot moved, which bounds every record the replaced log holds.
+    fn recycle_log(&mut self, from: u64, last: Zxid) -> Result<(), StorageError> {
         let len = self.log_end() - from;
-        let tmp = self.dir.join("log.tmp");
-        let mut f = File::create(&tmp)?;
-        let mut src = File::open(self.dir.join("log"))?;
+        if self.dirty {
+            // No record reaches the spare that the log could still lose.
+            self.log.sync_data()?;
+        }
+        let log_path = self.dir.join("log");
+        let spare_path = self.dir.join("log.spare");
+        let spare = match &mut self.spare {
+            Some(f) => f,
+            slot @ None => slot.insert(
+                OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(&spare_path)?,
+            ),
+        };
+        spare.seek(SeekFrom::Start(0))?;
+        let mut src = File::open(&log_path)?;
         src.seek(SeekFrom::Start(from))?;
-        if io::copy(&mut src.take(len), &mut f)? != len {
+        if io::copy(&mut src.take(len), spare)? != len {
             return Err(StorageError::Corrupt(format!(
                 "log is shorter than its index: no {len} bytes after offset {from}"
             )));
         }
-        f.sync_data()?;
-        drop(f);
-        fs::rename(&tmp, self.dir.join("log"))?;
-        sync_dir(&self.dir)?;
-        self.log = OpenOptions::new().read(true).append(true).open(self.dir.join("log"))?;
+        spare.sync_data()?;
+        exchange(&log_path, &spare_path)?;
+        std::mem::swap(&mut self.log, spare);
+        self.spare_high = last;
+        self.log.seek(SeekFrom::Start(len))?;
         let dropped = self.index.partition_point(|&(_, end)| end <= from);
         self.index.drain(..dropped);
         for (_, end) in &mut self.index {
             *end -= from;
         }
         self.dirty = false;
+        sync_dir(&self.dir)
+    }
+
+    /// Empties the spare, durably, so it holds no record above any zxid.
+    fn empty_spare(&mut self) -> Result<(), StorageError> {
+        if let Some(spare) = &self.spare {
+            spare.set_len(0)?;
+            spare.sync_data()?;
+        }
+        self.spare_high = Zxid::ZERO;
         Ok(())
+    }
+
+    /// Empties both log files, durably.
+    fn empty_logs(&mut self) -> Result<(), StorageError> {
+        self.empty_spare()?;
+        self.log.set_len(0)?;
+        self.log.sync_data()?;
+        self.log.seek(SeekFrom::Start(0))?;
+        self.index.clear();
+        self.dirty = false;
+        Ok(())
+    }
+}
+
+/// `renameat2(2)` flag: swap the two names in one atomic step.
+const RENAME_EXCHANGE: u32 = 2;
+/// `AT_FDCWD`: a relative path resolves against the working directory.
+const AT_FDCWD: i32 = -100;
+
+extern "C" {
+    fn renameat2(
+        olddirfd: i32,
+        oldpath: *const c_char,
+        newdirfd: i32,
+        newpath: *const c_char,
+        flags: u32,
+    ) -> i32;
+}
+
+/// Atomically swaps the names `a` and `b`, both of which must exist.
+fn exchange(a: &Path, b: &Path) -> io::Result<()> {
+    let a = CString::new(a.as_os_str().as_bytes())?;
+    let b = CString::new(b.as_os_str().as_bytes())?;
+    // SAFETY: both arguments are NUL-terminated strings that outlive the
+    // call, which reads them and keeps no pointer.
+    let rc = unsafe { renameat2(AT_FDCWD, a.as_ptr(), AT_FDCWD, b.as_ptr(), RENAME_EXCHANGE) };
+    if rc == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
     }
 }
 
@@ -353,19 +484,25 @@ impl Storage for FileStorage {
     fn truncate(&mut self, to: Zxid) -> Result<(), StorageError> {
         self.check(FaultOp::Truncate)?;
         let keep = self.index.partition_point(|&(z, _)| z <= to);
-        let new_len = if keep == 0 { 0 } else { self.index[keep - 1].1 };
+        let (last, new_len) = match keep.checked_sub(1) {
+            Some(i) => self.index[i],
+            None => (self.snapshot_zxid(), 0),
+        };
+        if self.spare_high > last {
+            // The spare may hold a record about to be cut: it must not
+            // outlive the cut (invariant in `crate::record`).
+            self.empty_spare()?;
+        }
         self.index.truncate(keep);
         self.log.set_len(new_len)?;
-        self.log.seek(SeekFrom::End(0))?;
+        self.log.seek(SeekFrom::Start(new_len))?;
         self.dirty = true;
         Ok(())
     }
 
     fn reset_to_snapshot(&mut self, snapshot: Bytes, zxid: Zxid) -> Result<(), StorageError> {
         self.check(FaultOp::SnapshotReplace)?;
-        self.snapshot = Some((snapshot, zxid));
-        self.write_snapshot_file()?;
-        self.rewrite_log(self.log_end())
+        self.install_snapshot(snapshot, zxid, self.log_end())
     }
 
     fn compact(&mut self, snapshot: Bytes, zxid: Zxid) -> Result<(), StorageError> {
@@ -374,9 +511,7 @@ impl Storage for FileStorage {
         // file: the index already knows where every record ends.
         let below = self.index.partition_point(|&(z, _)| z <= zxid);
         let cut = if below == 0 { 0 } else { self.index[below - 1].1 };
-        self.snapshot = Some((snapshot, zxid));
-        self.write_snapshot_file()?;
-        self.rewrite_log(cut)
+        self.install_snapshot(snapshot, zxid, cut)
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -407,12 +542,12 @@ impl Storage for FileStorage {
     }
 
     fn recover(&self) -> Result<Recovered, StorageError> {
-        let base = self.snapshot.as_ref().map_or(Zxid::ZERO, |&(_, z)| z);
-        // Re-scan from the in-memory index's view: read the file content.
-        // The scan hands back payloads as views of this one read buffer.
-        let mut data = Vec::new();
-        let mut f = File::open(self.dir.join("log"))?;
-        f.read_to_end(&mut data)?;
+        let base = self.snapshot_zxid();
+        // Re-scan the live records as the file holds them; a stale tail
+        // after them is not read. The scan hands back payloads as views of
+        // this one read buffer.
+        let mut data = vec![0; self.log_end() as usize];
+        self.log.read_exact_at(&mut data, 0)?;
         let scan = scan_log(data);
         if scan.resume_after_damage.is_some() {
             return Err(StorageError::MidFileCorrupt { offset: scan.valid_len });
@@ -528,6 +663,25 @@ mod tests {
         assert_eq!(snap.counter("log.appends"), 1);
         assert_eq!(snap.counter("log.fsyncs"), 1);
         assert_eq!(snap.histogram("log.flush_latency_us").map(|h| h.count), Some(1));
+    }
+
+    #[test]
+    fn compactions_reach_injected_metrics() {
+        let dir = tempdir();
+        let reg = zab_metrics::Registry::new();
+        let mut s = FileStorage::open(&dir).unwrap();
+        s.set_metrics(LogMetrics::registered(&reg));
+        s.append_txns(&[txn(1, 1), txn(1, 2)]).unwrap();
+        s.compact(Bytes::from_static(b"state@1"), Zxid::new(Epoch(1), 1)).unwrap();
+        s.reset_to_snapshot(Bytes::from_static(b"state@9"), Zxid::new(Epoch(1), 9)).unwrap();
+        // A refused compaction is not counted.
+        let mut plan = crate::fault::FaultPlan::new();
+        plan.arm(FaultOp::Compact);
+        s.set_faults(Some(plan));
+        assert!(s.compact(Bytes::from_static(b"x"), Zxid::new(Epoch(1), 9)).is_err());
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("log.compactions"), 2);
+        assert_eq!(snap.histogram("log.compact_latency_us").map(|h| h.count), Some(2));
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! - [`MemStorage`] — in-memory, with *explicit* flush boundaries so the
 //!   deterministic simulator can model durability loss on crash (anything
 //!   not flushed disappears),
-//! - [`FileStorage`] — file-backed: an append-only, CRC-checksummed
-//!   transaction log, an atomically-replaced epoch record, and an
-//!   atomically-replaced snapshot file. Recovery tolerates torn tails
-//!   (a partially written final record is discarded, like ZooKeeper's log
-//!   recovery).
+//! - [`FileStorage`] — file-backed: a CRC-checksummed transaction log in
+//!   two files that compaction recycles instead of freeing, an
+//!   atomically-replaced epoch record, and an atomically-replaced snapshot
+//!   file. Recovery tolerates torn tails (a partially written final record
+//!   is discarded, like ZooKeeper's log recovery) and keeps the stale
+//!   tail a recycled file carries.
 //!
 //! # Example
 //!

@@ -191,14 +191,20 @@ impl Storage for MemStorage {
 
     fn reset_to_snapshot(&mut self, snapshot: Bytes, zxid: Zxid) -> Result<(), StorageError> {
         self.check(FaultOp::SnapshotReplace)?;
+        let start_us = self.metrics.clock.now_micros();
         self.record(JournalOp::Reset { snapshot, zxid });
-        self.flush()
+        self.flush()?;
+        self.metrics.record_compaction(start_us);
+        Ok(())
     }
 
     fn compact(&mut self, snapshot: Bytes, zxid: Zxid) -> Result<(), StorageError> {
         self.check(FaultOp::Compact)?;
+        let start_us = self.metrics.clock.now_micros();
         self.record(JournalOp::Compact { snapshot, zxid });
-        self.flush()
+        self.flush()?;
+        self.metrics.record_compaction(start_us);
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -309,6 +315,19 @@ mod tests {
         assert_eq!(r.history.base(), Zxid::new(Epoch(1), 50));
         assert_eq!(r.snapshot.unwrap().as_ref(), b"snap");
         assert!(r.history.is_empty());
+    }
+
+    #[test]
+    fn compactions_reach_injected_metrics() {
+        let reg = zab_metrics::Registry::new();
+        let mut s = MemStorage::new();
+        s.set_metrics(LogMetrics::registered(&reg));
+        s.append_txns(&[txn(1, 1), txn(1, 2)]).unwrap();
+        s.compact(Bytes::from_static(b"snap"), Zxid::new(Epoch(1), 1)).unwrap();
+        s.reset_to_snapshot(Bytes::from_static(b"snap"), Zxid::new(Epoch(1), 9)).unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("log.compactions"), 2);
+        assert_eq!(snap.histogram("log.compact_latency_us").map(|h| h.count), Some(2));
     }
 
     #[test]

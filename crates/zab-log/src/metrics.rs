@@ -3,8 +3,9 @@
 //! [`LogMetrics`] bundles the instruments both storage implementations
 //! record into: append/flush latency histograms (wall microseconds by
 //! default — a [`zab_metrics::ManualClock`] can be injected for
-//! deterministic tests), fsync and append counters, recovery truncations,
-//! and injected-fault counts from the [`crate::fault`] plan.
+//! deterministic tests), fsync and append counters, compaction count and
+//! latency, recovery truncations, and injected-fault counts from the
+//! [`crate::fault`] plan.
 //!
 //! Storage objects default to a standalone bundle; drivers surface the
 //! numbers by building one with [`LogMetrics::registered`] and injecting
@@ -28,6 +29,11 @@ pub struct LogMetrics {
     pub fsyncs: Arc<Counter>,
     /// Latency of successful flushes, in clock microseconds.
     pub flush_latency_us: Arc<Histogram>,
+    /// Successful `compact` and `reset_to_snapshot` calls.
+    pub compactions: Arc<Counter>,
+    /// Latency of those calls, in clock microseconds: the stall a
+    /// compaction puts in front of the appends queued behind it.
+    pub compact_latency_us: Arc<Histogram>,
     /// Torn log tails discarded during recovery.
     pub recovery_truncations: Arc<Counter>,
     /// Faults fired by an installed [`crate::FaultPlan`].
@@ -44,6 +50,7 @@ impl fmt::Debug for LogMetrics {
         f.debug_struct("LogMetrics")
             .field("appends", &self.appends.get())
             .field("fsyncs", &self.fsyncs.get())
+            .field("compactions", &self.compactions.get())
             .field("recovery_truncations", &self.recovery_truncations.get())
             .field("injected_faults", &self.injected_faults.get())
             .finish_non_exhaustive()
@@ -59,6 +66,8 @@ impl LogMetrics {
             append_latency_us: Arc::new(Histogram::default()),
             fsyncs: Arc::new(Counter::default()),
             flush_latency_us: Arc::new(Histogram::default()),
+            compactions: Arc::new(Counter::default()),
+            compact_latency_us: Arc::new(Histogram::default()),
             recovery_truncations: Arc::new(Counter::default()),
             injected_faults: Arc::new(Counter::default()),
             clock: Arc::new(WallClock::new()),
@@ -73,6 +82,8 @@ impl LogMetrics {
             append_latency_us: reg.histogram("log.append_latency_us"),
             fsyncs: reg.counter("log.fsyncs"),
             flush_latency_us: reg.histogram("log.flush_latency_us"),
+            compactions: reg.counter("log.compactions"),
+            compact_latency_us: reg.histogram("log.compact_latency_us"),
             recovery_truncations: reg.counter("log.recovery_truncations"),
             injected_faults: reg.counter("log.injected_faults"),
             clock: Arc::new(WallClock::new()),
@@ -85,6 +96,13 @@ impl LogMetrics {
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> LogMetrics {
         self.clock = clock;
         self
+    }
+
+    /// Counts one finished compaction (or snapshot reset) that began at
+    /// `start_us` on the bundle's clock.
+    pub(crate) fn record_compaction(&self, start_us: u64) {
+        self.compactions.inc();
+        self.compact_latency_us.record(self.clock.now_micros().saturating_sub(start_us));
     }
 
     /// Attaches a flight-recorder handle; storage then records

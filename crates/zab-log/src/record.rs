@@ -1,6 +1,8 @@
-//! On-disk record formats shared by the file-backed stores.
+//! On-disk record formats shared by the file-backed stores, and the rules
+//! that find where a log ends.
 //!
-//! **Log record** (append-only `log` file):
+//! **Log record** (the `log` file, and its recycled twin `log.spare`; see
+//! [`crate::file`]):
 //!
 //! ```text
 //! +-----------+-------------+----------------------------+
@@ -9,9 +11,49 @@
 //! ```
 //!
 //! identical to a `zab-wire` frame whose payload is an encoded
-//! [`zab_core::Txn`]. A torn tail (partial final record, or a final record
-//! failing its checksum) is detected and discarded during the recovery
-//! scan, matching ZooKeeper's transaction-log recovery semantics.
+//! [`zab_core::Txn`].
+//!
+//! **Where the log ends.** Compaction recycles the two log files: it
+//! copies the live suffix over the front of the older one, which keeps its
+//! old bytes after that point. So the bytes after the last record are not
+//! always garbage; they can be a *stale tail* of intact older records. The
+//! live log is the run of intact records from offset 0 in which every
+//! zxid is above its predecessor's. It ends at the first record that is
+//! damaged or not above its predecessor. What follows is probed with
+//! every intact record skipped whole, so a stale tail costs about one
+//! checksum pass. The *floor* is the last live zxid, or the snapshot's
+//! when that is higher:
+//!
+//! - nothing follows: a clean end;
+//! - an intact record above the floor follows: damage cut the live records
+//!   short and intact ones resume after it. This is **mid-file
+//!   corruption**; truncating would drop committed transactions, so
+//!   recovery refuses ([`crate::StorageError::MidFileCorrupt`]);
+//! - intact records follow, none above the floor: a **stale tail**. It is
+//!   left as it is, not counted as a truncation, and the next append
+//!   overwrites it;
+//! - nothing intact follows: a **torn tail** (a partial final write, or
+//!   damage confined to the final record). It is cut off, matching
+//!   ZooKeeper's transaction-log recovery.
+//!
+//! **Invariant.** Every intact stale record, in the log or in the spare,
+//! has a zxid at or below the floor. So a stale record can neither extend
+//! the live log nor read as rot. It holds because:
+//!
+//! - a file is read again only after an exchange has put a copied suffix,
+//!   and then newer appends, ahead of its old bytes. Its old records are
+//!   at or below the last zxid of the store that retired it, which is at
+//!   or below the last live zxid now: the copied suffix ends at the same
+//!   record, and an empty suffix leaves a snapshot at or above it. The log
+//!   is synced before the copy, so no record reaches the spare that the
+//!   log could still lose in a crash;
+//! - `truncate` keeps `set_len`, so no record it cuts survives in the log.
+//!   A spare that may hold one (it was retired above the new last zxid) is
+//!   emptied and synced before the log is cut;
+//! - a new epoch's zxids exceed every older one, so what a follower
+//!   appends after a truncation lies above anything it cut;
+//! - a snapshot installed below the last zxid (SNAP to a divergent
+//!   follower) empties both files instead of recycling them.
 //!
 //! **Epoch record** (atomically replaced `epochs` file):
 //!
@@ -30,8 +72,9 @@
 //! ```
 
 use bytes::Bytes;
+use std::io::{self, Read};
 use zab_core::{Epoch, Txn, Zxid};
-use zab_wire::codec::{BytesCursor, WireRead, WireWrite};
+use zab_wire::codec::{WireRead, WireWrite};
 use zab_wire::crc32c::crc32c;
 
 use crate::StorageError;
@@ -75,96 +118,214 @@ pub(crate) fn encode_log_record(txn: &Txn) -> Vec<u8> {
 /// Result of scanning a log byte stream.
 #[derive(Debug, PartialEq, Eq)]
 pub struct LogScan {
-    /// Intact transactions, in file order.
+    /// The live records, in file order.
     pub txns: Vec<Txn>,
-    /// Bytes of the intact prefix; everything after is damaged.
+    /// Bytes of the live records; everything after them is stale or
+    /// damaged.
     pub valid_len: u64,
-    /// True if damage (torn or corrupt bytes) follows the intact prefix.
+    /// True if bytes follow the live records and they are not a stale
+    /// tail: a torn tail, or mid-file corruption when
+    /// `resume_after_damage` is set.
     pub torn_tail: bool,
-    /// When damage was found *and* at least one intact record resumes
-    /// after it: the byte offset of that record. `Some` means the damage
-    /// is mid-file corruption (bit-rot) — truncating at `valid_len` would
-    /// drop committed transactions — so recovery must refuse. `None` with
-    /// `torn_tail` means an ordinary torn tail, safe to truncate.
+    /// True if the bytes after the live records hold intact records and
+    /// none above the last live one: a stale tail left by recycling (see
+    /// the module docs), kept as it is.
+    pub stale_tail: bool,
+    /// The byte offset of the first intact record after the live ones
+    /// whose zxid is above the last live one. `Some` means damage cut the
+    /// live records short — mid-file corruption (bit-rot) — and truncating
+    /// at `valid_len` would drop committed transactions, so recovery must
+    /// refuse. `None` with `torn_tail` means an ordinary torn tail, safe
+    /// to truncate.
     pub resume_after_damage: Option<u64>,
 }
 
-/// Scans raw log bytes, returning every intact record and the length of
-/// the valid prefix. When the scan stops before end-of-file it probes the
-/// remaining bytes for an intact record, distinguishing a **torn tail**
-/// (nothing valid follows; truncation is safe) from **mid-file
-/// corruption** (valid records resume; truncation would lose data) — see
-/// [`LogScan::resume_after_damage`].
+/// Scans raw log bytes, returning the live records and the length they
+/// span, and classifying what follows them by the rules in the module
+/// docs: nothing, a stale tail, a torn tail, or mid-file corruption (see
+/// [`LogScan::resume_after_damage`]).
 ///
 /// The scan is CRC-verified but copy-free: `data` becomes one refcounted
 /// buffer and every recovered `Txn` payload is a [`Bytes`] view into it,
 /// so replaying a large log allocates nothing per record.
 pub fn scan_log(data: impl Into<Bytes>) -> LogScan {
     let data: Bytes = data.into();
-    let raw = data.clone();
-    let total = data.len() as u64;
-    let mut dec = zab_wire::frame::FrameDecoder::new();
-    dec.extend_bytes(data);
     let mut txns = Vec::new();
-    let mut valid_len = 0u64;
-    let damaged = loop {
-        match dec.next_frame() {
-            Ok(Some(payload)) => {
-                let record_len = (zab_wire::frame::HEADER_LEN + payload.len()) as u64;
-                let mut cur = BytesCursor::new(payload);
-                match Txn::decode(&mut cur) {
-                    Ok(txn) if cur.wire_is_empty() => {
-                        valid_len += record_len;
-                        txns.push(txn);
-                    }
-                    // Record framed correctly but body malformed: stop.
-                    _ => break true,
-                }
-            }
-            Ok(None) => break valid_len != total,
-            Err(_) => break true,
-        }
-    };
-    let resume_after_damage = if damaged {
-        let last = txns.last().map_or(Zxid::ZERO, |t| t.zxid);
-        probe_resume(&raw, valid_len + 1, last)
-    } else {
-        None
-    };
-    LogScan { txns, valid_len, torn_tail: damaged, resume_after_damage }
+    let scan = scan(&mut &data[..], Zxid::ZERO, |at, zxid, len| {
+        let body = at as usize + RECORD_PREFIX_LEN..(at + len) as usize;
+        txns.push(Txn::new(zxid, data.slice(body)));
+    })
+    .expect("a byte slice reads without error");
+    LogScan {
+        txns,
+        valid_len: scan.live_len,
+        torn_tail: matches!(scan.tail, Tail::Torn | Tail::MidFileCorrupt(_)),
+        stale_tail: scan.tail == Tail::Stale,
+        resume_after_damage: match scan.tail {
+            Tail::MidFileCorrupt(at) => Some(at),
+            _ => None,
+        },
+    }
 }
 
-/// Searches `raw[from..]` for an intact log record (valid frame, body a
-/// well-formed [`Txn`] with zxid above `last`). Returns its offset — the
-/// signature of mid-file corruption, since a torn tail has nothing valid
-/// after the damage. Only runs on the (rare) damaged-recovery path.
-///
-/// An offset pays for the checksum only once its prefix has the shape of
-/// every intact record — frame length `12 + dlen`, zxid above `last` — so
-/// a damaged span is probed in time linear in its length.
-fn probe_resume(raw: &Bytes, from: u64, last: Zxid) -> Option<u64> {
-    const HEADER: usize = zab_wire::frame::HEADER_LEN;
-    let mut o = from as usize;
-    while let Some(prefix) = raw.get(o..).and_then(<[u8]>::first_chunk::<RECORD_PREFIX_LEN>) {
-        let [l0, l1, l2, l3, c0, c1, c2, c3, z0, z1, z2, z3, z4, z5, z6, z7, d0, d1, d2, d3] =
-            *prefix;
-        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-        let zxid = u64::from_le_bytes([z0, z1, z2, z3, z4, z5, z6, z7]);
-        let dlen = u32::from_le_bytes([d0, d1, d2, d3]) as usize;
-        let end = o + HEADER + len;
-        let shaped = len == 12 + dlen && len <= zab_wire::frame::MAX_FRAME_LEN && zxid > last.0;
-        if shaped && end <= raw.len() {
-            // The shape makes the body exactly one `Txn` above `last`.
-            let body = raw.slice(o + HEADER..end);
-            if crc32c(&body) == u32::from_le_bytes([c0, c1, c2, c3])
-                && Txn::decode(&mut BytesCursor::new(body)).is_ok()
-            {
-                return Some(o as u64);
-            }
-        }
-        o += 1;
+/// What follows the live records of a log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tail {
+    /// Nothing: the live records run to the end of the file.
+    Clean,
+    /// Intact records, none above the floor: left by recycling.
+    Stale,
+    /// Nothing intact: a partial final write or a damaged final record.
+    Torn,
+    /// An intact record above the floor, at this offset: damage cut the
+    /// live records short.
+    MidFileCorrupt(u64),
+}
+
+/// The outcome of [`scan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Scan {
+    /// Bytes spanned by the live records.
+    pub live_len: u64,
+    /// What follows them.
+    pub tail: Tail,
+}
+
+/// A log's bytes, read front to back.
+pub(crate) trait LogBytes {
+    /// The `n` bytes at offset `at`, or fewer where the log ends first.
+    /// Successive calls never ask for an offset below an earlier one.
+    fn bytes_at(&mut self, at: u64, n: usize) -> io::Result<&[u8]>;
+}
+
+impl LogBytes for &[u8] {
+    fn bytes_at(&mut self, at: u64, n: usize) -> io::Result<&[u8]> {
+        let from = usize::try_from(at).map_or(self.len(), |at| at.min(self.len()));
+        Ok(&self[from..from.saturating_add(n).min(self.len())])
     }
-    None
+}
+
+/// Bytes read ahead from a file in one go, unless a record is larger.
+const READ_CHUNK: usize = 256 * 1024;
+
+/// A log read front to back through a buffer that holds about one read
+/// chunk or one record, whichever is larger, never the whole file: a stale
+/// tail is probed without being held in memory.
+pub(crate) struct ReadBytes<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// Offset of `buf[0]` in the log.
+    start: u64,
+    eof: bool,
+}
+
+impl<R: Read> ReadBytes<R> {
+    /// Reads `src` from its current position, which is offset 0.
+    pub(crate) fn new(src: R) -> ReadBytes<R> {
+        ReadBytes { src, buf: Vec::new(), start: 0, eof: false }
+    }
+}
+
+impl<R: Read> LogBytes for ReadBytes<R> {
+    fn bytes_at(&mut self, at: u64, n: usize) -> io::Result<&[u8]> {
+        let end = self.start + self.buf.len() as u64;
+        if at.saturating_add(n as u64) > end && !self.eof {
+            // Drop what lies behind `at`.
+            let behind = at.saturating_sub(self.start).min(self.buf.len() as u64);
+            self.buf.drain(..behind as usize);
+            self.start += behind;
+            if at > self.start {
+                io::copy(&mut (&mut self.src).take(at - self.start), &mut io::sink())?;
+                self.start = at;
+            }
+            // Read on as far as the log goes: a length read from damaged
+            // bytes allocates only for bytes that exist.
+            let want = n.max(READ_CHUNK).saturating_sub(self.buf.len());
+            let got = (&mut self.src).take(want as u64).read_to_end(&mut self.buf)?;
+            self.eof = got < want;
+        }
+        let from = at.saturating_sub(self.start).min(self.buf.len() as u64) as usize;
+        Ok(&self.buf[from..from.saturating_add(n).min(self.buf.len())])
+    }
+}
+
+/// What lies at one offset of a log.
+enum At {
+    /// An intact record: a valid frame whose body is exactly one
+    /// [`Txn`]. Carries its zxid and on-disk length.
+    Record(Zxid, u64),
+    /// Anything else.
+    Damaged,
+    /// Fewer bytes than a record prefix remain.
+    End,
+}
+
+/// Reads the record at offset `at`. An offset pays for the checksum only
+/// once its prefix has the shape of every intact record — frame length
+/// `12 + dlen`, within the frame limit — so damage is walked in time
+/// linear in its length.
+fn record_at(log: &mut impl LogBytes, at: u64) -> io::Result<At> {
+    const HEADER: usize = zab_wire::frame::HEADER_LEN;
+    let Some(&prefix) = log.bytes_at(at, RECORD_PREFIX_LEN)?.first_chunk::<RECORD_PREFIX_LEN>()
+    else {
+        return Ok(At::End);
+    };
+    let [l0, l1, l2, l3, c0, c1, c2, c3, z0, z1, z2, z3, z4, z5, z6, z7, d0, d1, d2, d3] = prefix;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let dlen = u32::from_le_bytes([d0, d1, d2, d3]) as usize;
+    if len != 12 + dlen || len > zab_wire::frame::MAX_FRAME_LEN {
+        return Ok(At::Damaged);
+    }
+    let record = log.bytes_at(at, HEADER + len)?;
+    Ok(match record.get(HEADER..) {
+        Some(body) if body.len() == len && crc32c(body) == u32::from_le_bytes([c0, c1, c2, c3]) => {
+            let zxid = u64::from_le_bytes([z0, z1, z2, z3, z4, z5, z6, z7]);
+            At::Record(Zxid(zxid), (HEADER + len) as u64)
+        }
+        _ => At::Damaged,
+    })
+}
+
+/// Finds the live records of `log` by the rules in the module docs and
+/// classifies what follows them. `live(offset, zxid, len)` is called once
+/// per live record, in order. `floor` is the snapshot's zxid: with the
+/// last live zxid it bounds every stale record.
+pub(crate) fn scan(
+    log: &mut impl LogBytes,
+    floor: Zxid,
+    mut live: impl FnMut(u64, Zxid, u64),
+) -> io::Result<Scan> {
+    let mut at = 0u64;
+    let mut last = Zxid::ZERO;
+    while let At::Record(zxid, len) = record_at(log, at)? {
+        if zxid <= last {
+            break;
+        }
+        live(at, zxid, len);
+        last = zxid;
+        at += len;
+    }
+    let live_len = at;
+    if log.bytes_at(at, 1)?.is_empty() {
+        return Ok(Scan { live_len, tail: Tail::Clean });
+    }
+    let floor = floor.max(last);
+    let mut stale = false;
+    loop {
+        match record_at(log, at)? {
+            At::Record(zxid, _) if zxid > floor => {
+                return Ok(Scan { live_len, tail: Tail::MidFileCorrupt(at) });
+            }
+            // Skipped whole: a stale tail costs one checksum pass.
+            At::Record(_, len) => {
+                stale = true;
+                at += len;
+            }
+            At::Damaged => at += 1,
+            At::End => break,
+        }
+    }
+    Ok(Scan { live_len, tail: if stale { Tail::Stale } else { Tail::Torn } })
 }
 
 /// Encodes the epoch pair record.
@@ -349,6 +510,93 @@ mod tests {
         // unoptimised; checksumming at every offset whose length field
         // fits in the file takes tens of seconds.
         assert!(took < std::time::Duration::from_secs(3), "probe took {took:?}");
+    }
+
+    /// Live records of epoch 2 (varied sizes), then at least 8 MiB of
+    /// epoch-1 records cut `skew` bytes into the first: the stale tail a
+    /// recycled log leaves behind its copied suffix.
+    fn live_then_stale(skew: usize) -> (Vec<u8>, u64, Vec<u64>) {
+        let mut data = Vec::new();
+        for c in 1..=50u32 {
+            data.extend(encode_log_record(&Txn::new(Zxid::new(Epoch(2), c), vec![7; c as usize])));
+        }
+        let live_len = data.len() as u64;
+        let mut stale = Vec::new();
+        let mut starts = Vec::new();
+        let mut c = 1u32;
+        while stale.len() < 8 << 20 {
+            starts.push(live_len + stale.len() as u64 - skew as u64);
+            stale.extend(encode_log_record(&Txn::new(Zxid::new(Epoch(1), c), vec![c as u8; 1024])));
+            c += 1;
+        }
+        data.extend_from_slice(&stale[skew..]);
+        (data, live_len, starts)
+    }
+
+    #[test]
+    fn megabytes_of_stale_records_after_a_misaligned_cut_are_a_stale_tail() {
+        let (data, live_len, _) = live_then_stale(333);
+        let scan = scan_log(data);
+        assert_eq!(scan.valid_len, live_len);
+        assert_eq!(scan.txns.len(), 50);
+        assert!(scan.stale_tail);
+        assert!(!scan.torn_tail, "a stale tail is not a torn one");
+        assert_eq!(scan.resume_after_damage, None);
+    }
+
+    #[test]
+    fn an_aligned_stale_record_ends_the_live_log() {
+        // Not above its predecessor: the first stale record is intact.
+        let (data, live_len, _) = live_then_stale(0);
+        let scan = scan_log(data);
+        assert_eq!(scan.valid_len, live_len);
+        assert!(scan.stale_tail && !scan.torn_tail);
+    }
+
+    #[test]
+    fn a_record_above_the_last_deep_in_a_stale_tail_is_mid_file_corruption() {
+        let (mut data, _, starts) = live_then_stale(333);
+        // Replace one stale record some 6 MiB in by a record above every
+        // live zxid, of the same length.
+        let at = starts[starts.len() * 3 / 4] as usize;
+        let planted = encode_log_record(&Txn::new(Zxid::new(Epoch(3), 1), vec![9; 1024]));
+        data[at..at + planted.len()].copy_from_slice(&planted);
+        let scan = scan_log(data);
+        assert_eq!(scan.txns.len(), 50);
+        assert_eq!(scan.resume_after_damage, Some(at as u64));
+        assert!(scan.torn_tail && !scan.stale_tail);
+    }
+
+    #[test]
+    fn reading_a_file_through_the_bounded_buffer_matches_the_slice() {
+        let (mut data, _, starts) = live_then_stale(333);
+        let at = starts[starts.len() / 2] as usize;
+        let planted = encode_log_record(&Txn::new(Zxid::new(Epoch(3), 1), vec![9; 1024]));
+        data[at..at + planted.len()].copy_from_slice(&planted);
+        for bytes in [&data[..at + 100], &data[..]] {
+            let mut from_slice = Vec::new();
+            let a = scan(&mut &bytes[..], Zxid::ZERO, |o, z, l| from_slice.push((o, z, l)));
+            let mut from_reader = Vec::new();
+            let b = scan(&mut ReadBytes::new(bytes), Zxid::ZERO, |o, z, l| {
+                from_reader.push((o, z, l));
+            });
+            assert_eq!(a.expect("slice"), b.expect("reader"));
+            assert_eq!(from_slice, from_reader);
+        }
+    }
+
+    #[test]
+    fn the_floor_bounds_stale_records_when_no_live_record_does() {
+        // An empty copied suffix leaves only stale records at or below the
+        // snapshot; a torn first append sits in front of them.
+        let mut data = encode_log_record(&txn(9));
+        data.truncate(10);
+        for c in 1..=5 {
+            data.extend(encode_log_record(&txn(c)));
+        }
+        let tail = |floor| scan(&mut &data[..], floor, |_, _, _| {}).expect("slice").tail;
+        assert_eq!(tail(Zxid::new(Epoch(1), 5)), Tail::Stale);
+        assert_eq!(tail(Zxid::ZERO), Tail::MidFileCorrupt(10));
     }
 
     #[test]

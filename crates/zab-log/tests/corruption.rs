@@ -139,3 +139,55 @@ fn byte_flips_after_compaction_still_truncate_or_error() {
     let _ = std::fs::remove_dir_all(&golden_dir);
     let _ = std::fs::remove_dir_all(&work_dir);
 }
+
+/// Same sweep over the live records of a recycled log: the second
+/// compaction copies the suffix over the front of the first log file, so
+/// intact stale records follow the live ones. A flip in the final live
+/// record now ends the log at a stale tail (kept, not truncated); a flip
+/// before it must still refuse, and nothing stale may be recovered.
+#[test]
+fn byte_flips_in_the_live_records_of_a_recycled_log_still_truncate_or_error() {
+    let golden_dir = tempdir();
+    let txns: Vec<Txn> = (1..=40u32)
+        .map(|c| Txn::new(Zxid::new(Epoch(3), c), vec![c as u8; (c as usize * 11) % 29]))
+        .collect();
+    {
+        let mut s = FileStorage::open(&golden_dir).expect("open");
+        s.append_txns(&txns[..30]).expect("append");
+        s.compact(bytes::Bytes::from_static(b"snap@20"), txns[19].zxid).expect("compact");
+        s.append_txns(&txns[30..]).expect("append");
+        s.compact(bytes::Bytes::from_static(b"snap@33"), txns[32].zxid).expect("compact");
+        s.flush().expect("flush");
+    }
+    let live = &txns[33..];
+    let live_len: u64 = live.iter().map(zab_log::record::log_record_len).sum();
+    let file_len = std::fs::metadata(golden_dir.join("log")).expect("meta").len();
+    assert!(file_len > live_len, "the recycled log must carry a stale tail");
+    let last_record_start =
+        live_len - zab_log::record::log_record_len(live.last().expect("nonempty"));
+
+    let work_dir = tempdir();
+    for offset in 0..live_len {
+        clone_dir(&golden_dir, &work_dir);
+        flip_byte_in_file(work_dir.join("log"), offset).expect("flip");
+        match FileStorage::open(&work_dir) {
+            Ok(s) => {
+                let r = s.recover().expect("recover after open");
+                assert_eq!(r.history.base(), txns[32].zxid, "snapshot anchor lost");
+                let got = r.history.txns();
+                assert_eq!(got, &live[..live.len() - 1], "offset {offset}: not the prefix");
+                assert!(offset >= last_record_start, "offset {offset}: truncated mid-file");
+                let len = std::fs::metadata(work_dir.join("log")).expect("meta").len();
+                assert_eq!(len, file_len, "offset {offset}: the stale tail was cut");
+            }
+            Err(StorageError::MidFileCorrupt { offset: reported }) => {
+                assert!(offset < last_record_start, "offset {offset}: misreported tail");
+                assert!(reported <= offset, "offset {offset}: reported at {reported}");
+            }
+            Err(e) => panic!("offset {offset}: unexpected error {e}"),
+        }
+    }
+
+    let _ = std::fs::remove_dir_all(&golden_dir);
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
