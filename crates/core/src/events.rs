@@ -128,6 +128,9 @@ pub enum RejectReason {
     NotPrimary,
     /// The pending-request queue is full (back-pressure).
     Overloaded,
+    /// The request is over [`crate::MAX_TXN_DATA_LEN`], the most a
+    /// follower channel or a log record can carry.
+    TooLarge,
 }
 
 /// Everything a Zab automaton can ask of its driver.

@@ -29,7 +29,7 @@ use crate::config::ClusterConfig;
 use crate::delivery::deliver_committed;
 use crate::events::{Action, Input, PersistRequest, PersistToken, PersistentState, RejectReason};
 use crate::history::{History, SyncPlan};
-use crate::messages::Message;
+use crate::messages::{Message, MAX_TXN_DATA_LEN};
 use crate::metrics::CoreMetrics;
 use crate::types::{Epoch, ServerId, Txn, Zxid};
 use bytes::Bytes;
@@ -1231,6 +1231,10 @@ impl Leader {
             out.push(Action::ClientRequestRejected { data, reason: RejectReason::NotPrimary });
             return;
         }
+        if data.len() > MAX_TXN_DATA_LEN {
+            out.push(Action::ClientRequestRejected { data, reason: RejectReason::TooLarge });
+            return;
+        }
         if self.pending_requests.len() >= self.config.request_queue_limit {
             self.metrics.requests_rejected.inc();
             out.push(Action::ClientRequestRejected { data, reason: RejectReason::Overloaded });
@@ -1736,6 +1740,29 @@ mod tests {
             x,
             Action::ClientRequestRejected { reason: RejectReason::Overloaded, .. }
         )));
+    }
+
+    #[test]
+    fn request_over_the_txn_limit_is_rejected_and_not_proposed() {
+        let (mut l, _) = Leader::new(ME, cfg(), PersistentState::default(), Zxid::ZERO, 0);
+        let a = l.handle(msg(
+            F2,
+            Message::FollowerInfo { accepted_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
+        ));
+        complete_persists(&mut l, &a);
+        let a = l.handle(msg(
+            F2,
+            Message::AckEpoch { current_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
+        ));
+        complete_persists(&mut l, &a);
+        l.handle(msg(F2, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
+        let a = l.handle(Input::ClientRequest { data: Bytes::from(vec![0; MAX_TXN_DATA_LEN + 1]) });
+        assert!(matches!(
+            a[..],
+            [Action::ClientRequestRejected { reason: RejectReason::TooLarge, .. }]
+        ));
+        let a = l.handle(Input::ClientRequest { data: Bytes::from(vec![0; MAX_TXN_DATA_LEN]) });
+        assert!(a.iter().any(|x| matches!(x, Action::Broadcast { .. } | Action::Send { .. })));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use events::{Action, Input, PersistRequest, PersistToken, PersistentState, R
 pub use follower::{Follower, FollowerStatus};
 pub use history::{History, SyncPlan};
 pub use leader::{FollowerLag, Leader, LeaderStatus, SyncProgress};
-pub use messages::Message;
+pub use messages::{Message, MAX_TXN_DATA_LEN};
 pub use metrics::CoreMetrics;
 pub use types::{Epoch, ServerId, Txn, Zxid};
 pub use zab_trace::Tracer;

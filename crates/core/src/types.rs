@@ -95,17 +95,6 @@ impl Zxid {
         self.0 as u32
     }
 
-    /// The zxid of the next transaction in the same epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the 32-bit counter would overflow; a primary generating
-    /// 2^32 transactions in one epoch must first roll the epoch.
-    pub fn next_in_epoch(self) -> Zxid {
-        let c = self.counter().checked_add(1).expect("zxid counter overflow");
-        Zxid::new(self.epoch(), c)
-    }
-
     /// True if `self` is the transaction immediately following `prev`
     /// *within the same epoch*, or the first transaction of a later epoch.
     ///
@@ -185,18 +174,6 @@ mod tests {
         let b = Zxid::new(Epoch(2), 0);
         assert!(a < b);
         assert!(Zxid::new(Epoch(2), 1) > b);
-    }
-
-    #[test]
-    fn next_in_epoch_increments_counter_only() {
-        let z = Zxid::new(Epoch(5), 9);
-        assert_eq!(z.next_in_epoch(), Zxid::new(Epoch(5), 10));
-    }
-
-    #[test]
-    #[should_panic(expected = "zxid counter overflow")]
-    fn next_in_epoch_panics_on_counter_overflow() {
-        let _ = Zxid::new(Epoch(1), u32::MAX).next_in_epoch();
     }
 
     #[test]

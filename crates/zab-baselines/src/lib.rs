@@ -24,8 +24,9 @@
 //! - [`harness`] — a deterministic scenario runner: message loss, primary
 //!   crash, takeover, slot-order delivery.
 //! - [`po`] — a primary-order checker over origin-tagged values, used to
-//!   count violating runs (the `table_po_violations` benchmark compares the
-//!   violation rate against Zab's — which is zero by construction).
+//!   count violating runs (the harness tests assert that pipelined runs
+//!   violate it and stop-and-wait runs never do; Zab's rate is zero by
+//!   construction, see `tests/simulation_safety.rs`).
 //!
 //! # Example
 //!

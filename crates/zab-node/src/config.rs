@@ -8,7 +8,7 @@ use zab_election::ElectionConfig;
 
 /// Default [`NodeConfig::submit_window`]. Throughput against requests in
 /// flight flattens well before a few hundred outstanding proposals
-/// (`fig_outstanding`, EXPERIMENTS.md F3), so 256 keeps the pipeline full,
+/// (EXPERIMENTS.md F3), so 256 keeps the pipeline full,
 /// and a deeper window would only add queueing delay under overload.
 const DEFAULT_SUBMIT_WINDOW: usize = 256;
 

@@ -112,8 +112,8 @@ fn multipaxos_side() {
     assert!(corrupted, "a local primary-order gap must break the delta chain");
 
     // The contrast the paper draws: a single outstanding proposal avoids
-    // the phenomenon entirely (at a large throughput cost — see the
-    // fig_outstanding benchmark).
+    // the phenomenon entirely (at a large throughput cost — see
+    // `f3_pipelining_multiplies_throughput` in tests/paper_shapes.rs).
     let mut violations_w1 = 0;
     for seed in 0..500 {
         let outcome = run_scenario(&Scenario {
