@@ -190,6 +190,17 @@ impl Delta {
         buf
     }
 
+    /// `self.encode().len()`, without encoding.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            // Tag, length-prefixed path and data, then a u64.
+            Delta::CreateNode { path, data, .. } | Delta::SetData { path, data, .. } => {
+                1 + 4 + path.len() + 4 + data.len() + 8
+            }
+            Delta::DeleteNode { path } => 1 + 4 + path.len(),
+        }
+    }
+
     /// Decodes a delta.
     ///
     /// # Errors
@@ -253,6 +264,7 @@ mod tests {
             Delta::SetData { path: "/a".into(), data: vec![], new_version: 7 },
         ];
         for d in deltas {
+            assert_eq!(d.encoded_len(), d.encode().len());
             assert_eq!(Delta::decode(&d.encode()).unwrap(), d);
         }
     }

@@ -39,9 +39,16 @@ impl PrimaryExecutor {
     /// # Errors
     ///
     /// Application-level failures ([`KvError`]) are returned to the client
-    /// and produce *no* delta — failed operations are not broadcast.
+    /// and produce *no* delta — failed operations are not broadcast. A
+    /// delta too large for one transaction is such a failure: it is
+    /// refused here, before the speculative tree holds a change that no
+    /// replica will apply.
     pub fn execute(&mut self, op: &Op) -> Result<(Delta, OpResult), KvError> {
         let (delta, result) = self.prepare(op)?;
+        let len = delta.encoded_len();
+        if len > zab_core::MAX_TXN_DATA_LEN {
+            return Err(KvError::TooLarge { len });
+        }
         self.speculative
             .apply(&delta)
             .expect("speculative apply of a just-validated delta succeeds");
@@ -172,6 +179,23 @@ mod tests {
         assert!(p.execute(&Op::delete("/missing")).is_err());
         assert!(p.execute(&Op::create("/no/parent", vec![])).is_err());
         assert_eq!(*p.view(), DataTree::new());
+    }
+
+    #[test]
+    fn oversized_ops_are_refused_before_speculation() {
+        let mut p = PrimaryExecutor::new(DataTree::new());
+        p.execute(&Op::create("/n", vec![])).unwrap();
+        let before = p.view().clone();
+        // The data fits the codec's byte-string cap; path, tag and
+        // version push the delta over the transaction limit.
+        let big = vec![0u8; zab_core::MAX_TXN_DATA_LEN];
+        let err = p.execute(&Op::create("/big", big.clone())).unwrap_err();
+        assert!(matches!(err, KvError::TooLarge { .. }));
+        let err = p.execute(&Op::set("/n", big)).unwrap_err();
+        assert!(matches!(err, KvError::TooLarge { .. }));
+        assert_eq!(*p.view(), before);
+        let err = p.execute(&Op::create("/big/x", vec![])).unwrap_err();
+        assert_eq!(err, KvError::NoNode("/big".into()));
     }
 
     #[test]

@@ -26,6 +26,12 @@ pub enum KvError {
     },
     /// Malformed path (must start with '/', no empty or trailing segments).
     BadPath(String),
+    /// The encoded delta is over [`zab_core::MAX_TXN_DATA_LEN`], the most
+    /// one transaction can carry.
+    TooLarge {
+        /// Encoded length of the delta.
+        len: usize,
+    },
 }
 
 impl fmt::Display for KvError {
@@ -38,6 +44,11 @@ impl fmt::Display for KvError {
                 write!(f, "version mismatch at {path}: expected {expected}, actual {actual}")
             }
             KvError::BadPath(p) => write!(f, "malformed path {p:?}"),
+            KvError::TooLarge { len } => write!(
+                f,
+                "delta of {len} bytes is over the {}-byte transaction limit",
+                zab_core::MAX_TXN_DATA_LEN
+            ),
         }
     }
 }

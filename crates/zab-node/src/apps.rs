@@ -21,7 +21,9 @@ pub trait Application: Send + 'static {
     /// # Errors
     ///
     /// An application-level failure (returned to the client, nothing
-    /// broadcast).
+    /// broadcast). A delta over [`zab_core::MAX_TXN_DATA_LEN`] is bounced
+    /// by the leader after `execute` returns, which undoes nothing here:
+    /// an application with speculative state must refuse it itself.
     fn execute(&mut self, request: &[u8]) -> Result<Vec<u8>, String>;
 
     /// Apply a committed delta (in zxid order, exactly once per state).
