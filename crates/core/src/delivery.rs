@@ -86,7 +86,6 @@ pub struct DeliveryHash {
     last: Zxid,
     hash: u64,
     checkpoints: VecDeque<HashCheckpoint>,
-    version: u64,
 }
 
 impl Default for DeliveryHash {
@@ -96,7 +95,6 @@ impl Default for DeliveryHash {
             last: Zxid::ZERO,
             hash: FNV_OFFSET,
             checkpoints: VecDeque::new(),
-            version: 0,
         }
     }
 }
@@ -121,7 +119,6 @@ impl DeliveryHash {
         let h = fold(mix(mix(self.hash, zxid.0), data.len() as u64), data);
         self.hash = h;
         self.last = zxid;
-        self.version += 1;
         if zxid.counter().is_multiple_of(CHECKPOINT_STRIDE) {
             if self.checkpoints.len() == CHECKPOINT_CAP {
                 self.checkpoints.pop_front();
@@ -148,12 +145,6 @@ impl DeliveryHash {
     /// Retained stride checkpoints, oldest first.
     pub fn checkpoints(&self) -> impl Iterator<Item = HashCheckpoint> + '_ {
         self.checkpoints.iter().copied()
-    }
-
-    /// Monotone change counter — lets a publisher skip re-copying the
-    /// checkpoint ring when nothing was delivered since the last look.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 }
 
@@ -387,6 +378,5 @@ mod tests {
         assert_eq!(cps.len(), 128);
         assert_eq!(cps.last().unwrap().zxid, z(1, 19_968)); // newest stride point
         assert!(cps.windows(2).all(|w| w[0].zxid < w[1].zxid));
-        assert!(d.version() >= 20_000);
     }
 }

@@ -12,8 +12,8 @@
 //!   is three relaxed atomic ops; no allocation, no locking, no floats.
 //! - [`Registry`]: name → instrument table. Registration takes a mutex;
 //!   recorded values never do — callers hold `Arc` handles to the atomics.
-//! - [`Snapshot`]: a point-in-time copy of everything, with a dependency-free
-//!   JSON encoder ([`Snapshot::to_json`]) for dump files and CI artifacts.
+//! - [`Snapshot`]: a point-in-time copy of everything, rendered for
+//!   scrapers in the Prometheus text format ([`Snapshot::to_prometheus`]).
 //! - [`Clock`] / [`Span`]: the tracing seam. A [`Span`] is a scoped timer
 //!   that records its lifetime into a histogram on drop, so the hot path
 //!   (request → propose → quorum ack → commit → deliver) reads as nested
@@ -288,53 +288,6 @@ impl Snapshot {
         self.counters.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, v)| v).sum()
     }
 
-    /// Serializes the snapshot as a stable, human-diffable JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {name:
-    /// {"count", "sum", "max", "mean", "buckets": [[lo, n], ...]}}}`.
-    /// Keys are emitted in sorted (BTreeMap) order so dumps diff cleanly
-    /// across runs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json_string(k));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json_string(k));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"buckets\":[",
-                json_string(k),
-                h.count,
-                h.sum,
-                h.max,
-                h.mean()
-            );
-            for (j, (lo, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{lo},{n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format
     /// (version 0.0.4): one `# TYPE` line per metric, names mangled via
     /// [`mangle_name`] (`.` → `_`), histograms as cumulative
@@ -414,28 +367,6 @@ pub fn sanitize_component(component: &str) -> String {
 /// unambiguous to parse no matter what the peer id contains.
 pub fn peer_metric(base: &str, peer: impl std::fmt::Display) -> String {
     format!("{base}.{}", sanitize_component(&peer.to_string()))
-}
-
-/// Minimal JSON string encoder (instrument names are ASCII identifiers,
-/// but escape defensively anyway).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Interior tables of a [`Registry`].
@@ -877,29 +808,6 @@ mod tests {
         reg.counter("transport.bytes_in.1").add(99);
         let snap = reg.snapshot();
         assert_eq!(snap.counter_sum("transport.bytes_out."), 30);
-    }
-
-    #[test]
-    fn json_dump_shape() {
-        let reg = Registry::new();
-        reg.counter("c1").add(3);
-        reg.gauge("g1").set(-4);
-        reg.histogram("h1").record(5);
-        let json = reg.snapshot().to_json();
-        assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.contains("\"c1\":3"));
-        assert!(json.contains("\"g1\":-4"));
-        assert!(json.contains("\"h1\":{\"count\":1,\"sum\":5,\"max\":5"));
-        assert!(json.contains("\"buckets\":[[4,1]]"));
-        assert!(json.ends_with("}}"));
-    }
-
-    #[test]
-    fn json_escapes_odd_names() {
-        let reg = Registry::new();
-        reg.counter("we\"ird\\name\n").inc();
-        let json = reg.snapshot().to_json();
-        assert!(json.contains("\"we\\\"ird\\\\name\\n\":1"));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! - `GET /metrics` — the replica's full [`zab_metrics::Snapshot`] in
 //!   Prometheus text exposition format,
-//! - `GET /health` — role, epoch, last-committed zxid, per-peer
-//!   reachability, per-follower replication lag (leaders), the rolling
-//!   delivery hash with its stride checkpoints, a commit-latency
-//!   p50/p99 summary, and in-flight catch-up syncs as one JSON object,
+//! - `GET /health` — the [`Health`] document (role, epoch, last-committed
+//!   zxid, per-peer reachability, catch-up syncs, per-follower
+//!   replication lag, the rolling delivery hash, a commit-latency
+//!   summary), built by the event loop on request; 503 when the loop
+//!   does not answer within [`HEALTH_DEADLINE`],
 //! - `GET /trace?last=N&zxid=Z&format=raw` — the flight recorder's
 //!   current contents as Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`), optionally limited to the newest `N` events,
@@ -25,10 +26,7 @@
 //! The endpoint is unauthenticated and read-only; [`crate::NodeConfig`]
 //! documents that it should bind loopback unless the network is trusted.
 
-use crate::replica::Role;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use crossbeam::channel::{unbounded, Sender};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,7 +34,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zab_metrics::Registry;
-use zab_trace::{chrome_trace_json, raw_trace_json, zxid_display, Recorder};
+use zab_trace::health::Health;
+use zab_trace::{chrome_trace_json, parse_zxid, raw_trace_json, Recorder};
 
 /// Accept-loop poll cadence (the listener is non-blocking so the thread
 /// can notice the stop flag). Kept coarse deliberately: on small hosts
@@ -59,106 +58,14 @@ const READ_TIMEOUT: Duration = Duration::from_millis(500);
 /// deadline the response is abandoned, so the single admin thread — and
 /// `Replica` drop, which joins it — is never wedged for longer.
 const RESPONSE_DEADLINE: Duration = Duration::from_secs(3);
+/// How long a `/health` request waits for the event loop's answer. A
+/// loop that is wedged or gone costs the admin thread at most this, and
+/// the client gets 503.
+const HEALTH_DEADLINE: Duration = Duration::from_secs(1);
 
-/// Health facts only the event loop knows, shared with the admin thread.
-/// The loop updates it as events arrive; `GET /health` reads it.
-#[derive(Debug, Default)]
-pub(crate) struct HealthState {
-    /// Highest zxid this replica has committed (packed form).
-    pub last_committed: u64,
-    /// Per-peer reachability, keyed by server id.
-    pub peers: BTreeMap<u64, PeerHealth>,
-    /// Peers this replica is catch-up syncing right now (leaders only;
-    /// empty elsewhere). Mirrors [`zab_core::Leader::syncing_peers`].
-    pub syncing: Vec<SyncingPeer>,
-    /// Per-follower replication lag against the committed frontier
-    /// (leaders only; empty elsewhere). Mirrors
-    /// [`zab_core::Leader::follower_lags`].
-    pub lag: Vec<LagEntry>,
-    /// Rolling delivered-prefix hash, the watchdog's agreement witness.
-    pub delivery: DeliveryState,
-}
-
-/// One follower's replication lag, as served by `/health`.
-#[derive(Debug, Clone)]
-pub(crate) struct LagEntry {
-    /// The follower's server id.
-    pub peer: u64,
-    /// Its cumulative ack watermark (packed), if it is active.
-    pub acked_zxid: Option<u64>,
-    /// Committed txns it has not acked, when O(1)-computable.
-    pub lag_txns: Option<u64>,
-    /// True while a catch-up sync stream is open to it.
-    pub syncing: bool,
-}
-
-/// Snapshot of the node's [`zab_core::DeliveryHash`], as served by
-/// `/health`.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DeliveryState {
-    /// First zxid of the current hash chain (packed; 0 before any
-    /// delivery).
-    pub anchor: u64,
-    /// Last delivered zxid folded into the chain (packed).
-    pub last: u64,
-    /// Chain hash over `anchor..=last`.
-    pub hash: u64,
-    /// Stride checkpoints `(zxid, hash)`, oldest first.
-    pub checkpoints: Vec<(u64, u64)>,
-}
-
-/// Live progress of one peer's catch-up sync, as served by `/health`.
-#[derive(Debug, Clone)]
-pub(crate) struct SyncingPeer {
-    /// The syncing peer's server id.
-    pub peer: u64,
-    /// Sync chunks not yet shipped to it.
-    pub chunks_remaining: u64,
-    /// Budgeted payload bytes in those chunks.
-    pub bytes_remaining: u64,
-}
-
-/// What this replica currently knows about one peer's channel.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PeerHealth {
-    /// True once traffic has arrived from the peer and its channel has
-    /// not broken since.
-    pub reachable: bool,
-    /// Consecutive failed outgoing dials (0 while connected).
-    pub failed_attempts: u32,
-}
-
-impl HealthState {
-    /// Fresh state tracking `peers` (self excluded by the caller).
-    pub fn new(peers: impl IntoIterator<Item = u64>) -> HealthState {
-        HealthState {
-            last_committed: 0,
-            peers: peers.into_iter().map(|p| (p, PeerHealth::default())).collect(),
-            syncing: Vec::new(),
-            lag: Vec::new(),
-            delivery: DeliveryState::default(),
-        }
-    }
-
-    /// Traffic arrived from `peer`: it is reachable.
-    pub fn peer_ok(&mut self, peer: u64) {
-        let entry = self.peers.entry(peer).or_default();
-        entry.reachable = true;
-        entry.failed_attempts = 0;
-    }
-
-    /// The channel to/from `peer` broke.
-    pub fn peer_down(&mut self, peer: u64) {
-        self.peers.entry(peer).or_default().reachable = false;
-    }
-
-    /// An outgoing dial to `peer` failed (`attempt` consecutive so far).
-    pub fn peer_failed(&mut self, peer: u64, attempt: u32) {
-        let entry = self.peers.entry(peer).or_default();
-        entry.reachable = false;
-        entry.failed_attempts = attempt.saturating_add(1);
-    }
-}
+/// Hands `reply` to the event loop, which answers it with a fresh
+/// `/health` document; false once the loop has gone.
+pub(crate) type AskHealth = Box<dyn Fn(Sender<Health>) -> bool + Send>;
 
 /// The background HTTP responder. Dropping it stops the thread.
 pub(crate) struct AdminServer {
@@ -171,11 +78,9 @@ impl AdminServer {
     /// Binds `addr` (port 0 picks a free port) and starts serving.
     pub fn start(
         addr: SocketAddr,
-        node: u64,
         metrics: Arc<Registry>,
         recorder: Arc<Recorder>,
-        role: Arc<Mutex<Role>>,
-        health: Arc<Mutex<HealthState>>,
+        ask_health: AskHealth,
     ) -> std::io::Result<AdminServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -183,7 +88,7 @@ impl AdminServer {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            serve_loop(listener, thread_stop, node, metrics, recorder, role, health);
+            serve_loop(listener, thread_stop, metrics, recorder, ask_health);
         });
         Ok(AdminServer { addr: local, stop, thread: Some(thread) })
     }
@@ -203,20 +108,17 @@ impl Drop for AdminServer {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn serve_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    node: u64,
     metrics: Arc<Registry>,
     recorder: Arc<Recorder>,
-    role: Arc<Mutex<Role>>,
-    health: Arc<Mutex<HealthState>>,
+    ask_health: AskHealth,
 ) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                handle_conn(stream, node, &metrics, &recorder, &role, &health);
+                handle_conn(stream, &metrics, &recorder, &ask_health);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_DELAY);
@@ -228,11 +130,9 @@ fn serve_loop(
 
 fn handle_conn(
     mut stream: TcpStream,
-    node: u64,
     metrics: &Registry,
     recorder: &Recorder,
-    role: &Mutex<Role>,
-    health: &Mutex<HealthState>,
+    ask_health: &AskHealth,
 ) {
     let _ = stream.set_nonblocking(false);
     let start = Instant::now();
@@ -314,8 +214,20 @@ fn handle_conn(
             respond(&mut stream, "200 OK", "text/plain; version=0.0.4; charset=utf-8", &body);
         }
         "/health" => {
-            let body = health_json(node, metrics, role, health);
-            respond(&mut stream, "200 OK", "application/json", &body);
+            let (reply, answer) = unbounded();
+            let health =
+                if ask_health(reply) { answer.recv_timeout(HEALTH_DEADLINE).ok() } else { None };
+            match health {
+                Some(health) => {
+                    respond(&mut stream, "200 OK", "application/json", &health.to_json());
+                }
+                None => respond(
+                    &mut stream,
+                    "503 Service Unavailable",
+                    "text/plain; charset=utf-8",
+                    "the event loop did not answer\n",
+                ),
+            }
         }
         "/trace" => match parse_trace_query(query) {
             Ok(q) => {
@@ -372,116 +284,6 @@ fn write_by(stream: &mut TcpStream, mut buf: &[u8], deadline: Instant) -> std::i
     Ok(())
 }
 
-fn health_json(
-    node: u64,
-    metrics: &Registry,
-    role: &Mutex<Role>,
-    health: &Mutex<HealthState>,
-) -> String {
-    let role = *role.lock();
-    let (last_committed, peers, syncing, lag, delivery) = {
-        let h = health.lock();
-        (h.last_committed, h.peers.clone(), h.syncing.clone(), h.lag.clone(), h.delivery.clone())
-    };
-    // `active` means "serving its role": an established leader or a
-    // synced follower. `leader` is null while looking or faulted.
-    let (role_str, active, leader) = match role {
-        Role::Looking => ("looking", false, None),
-        Role::Leading { established, .. } => ("leading", established, Some(node)),
-        Role::Following { leader, active } => ("following", active, Some(leader.0)),
-        Role::Faulted => ("faulted", false, None),
-    };
-    let epoch = match role {
-        Role::Leading { epoch, .. } => u64::from(epoch.0),
-        _ => last_committed >> 32,
-    };
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"node\":{node},\"role\":\"{role_str}\",\"active\":{active},\"epoch\":{epoch},\"leader\":"
-    );
-    match leader {
-        Some(l) => {
-            let _ = write!(out, "{l}");
-        }
-        None => out.push_str("null"),
-    }
-    let _ = write!(
-        out,
-        ",\"last_committed\":\"{}\",\"last_committed_zxid\":{last_committed},\"peers\":{{",
-        zxid_display(last_committed)
-    );
-    for (i, (peer, ph)) in peers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{peer}\":{{\"reachable\":{},\"failed_attempts\":{}}}",
-            ph.reachable, ph.failed_attempts
-        );
-    }
-    out.push_str("},\"syncing\":[");
-    for (i, s) in syncing.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"peer\":{},\"chunks_remaining\":{},\"bytes_remaining\":{}}}",
-            s.peer, s.chunks_remaining, s.bytes_remaining
-        );
-    }
-    out.push_str("],\"lag\":[");
-    for (i, l) in lag.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"peer\":{},\"acked_zxid\":", l.peer);
-        match l.acked_zxid {
-            Some(z) => {
-                let _ = write!(out, "{z},\"acked\":\"{}\"", zxid_display(z));
-            }
-            None => out.push_str("null,\"acked\":null"),
-        }
-        out.push_str(",\"lag_txns\":");
-        match l.lag_txns {
-            Some(n) => {
-                let _ = write!(out, "{n}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"syncing\":{}}}", l.syncing);
-    }
-    // Hashes render as fixed-width hex strings: u64 does not survive a
-    // round-trip through JSON doubles.
-    let _ = write!(
-        out,
-        "],\"delivery\":{{\"anchor_zxid\":{},\"last_zxid\":{},\"hash\":\"{:016x}\",\
-         \"checkpoints\":[",
-        delivery.anchor, delivery.last, delivery.hash
-    );
-    for (i, (z, h)) in delivery.checkpoints.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{z},\"{h:016x}\"]");
-    }
-    // Commit-latency summary straight from the node's histogram, using the
-    // interpolated estimator — operators get p50/p99 from /health without
-    // running a bench.
-    let lat = metrics.histogram("node.commit_latency_ms").snapshot();
-    let _ = write!(
-        out,
-        "]}},\"commit_latency_ms\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}}}",
-        lat.count,
-        lat.quantile(0.5),
-        lat.quantile(0.99),
-        lat.max
-    );
-    out
-}
-
 /// Parsed `/trace` query parameters.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct TraceQuery {
@@ -515,24 +317,10 @@ fn parse_trace_query(query: Option<&str>) -> Result<TraceQuery, &'static str> {
     Ok(out)
 }
 
-/// Parses a zxid as packed decimal (`4294967297`) or `epoch:counter`
-/// (`1:1`).
-fn parse_zxid(s: &str) -> Option<u64> {
-    if let Some((e, c)) = s.split_once(':') {
-        let epoch: u32 = e.parse().ok()?;
-        let counter: u32 = c.parse().ok()?;
-        Some(((epoch as u64) << 32) | counter as u64)
-    } else {
-        s.parse().ok()
-    }
-}
-
 fn trace_json(recorder: &Recorder, query: &TraceQuery) -> String {
     let mut events = recorder.snapshot();
     if let Some(z) = query.zxid {
-        // A point event matches exactly; a storage span matches when the
-        // zxid falls inside its range — the append/fsync the txn rode in.
-        events.retain(|e| if e.is_span() { e.zxid <= z && z <= e.zxid_end } else { e.zxid == z });
+        events.retain(|e| e.covers(z));
     }
     if let Some(last) = query.last {
         if events.len() > last {
@@ -562,7 +350,16 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
-    fn server() -> (AdminServer, Arc<Recorder>, Arc<Mutex<HealthState>>) {
+    /// The document the fixture's stand-in event loop answers with.
+    fn sample_health() -> Health {
+        Health { node: 1, role: "looking".to_string(), ..Health::default() }
+    }
+
+    fn server() -> AdminServer {
+        server_asking(Box::new(|reply| reply.send(sample_health()).is_ok()))
+    }
+
+    fn server_asking(ask_health: AskHealth) -> AdminServer {
         let metrics = Arc::new(Registry::new());
         metrics.counter("core.proposals_proposed").add(7);
         metrics.histogram("node.commit_latency_ms").record(3);
@@ -571,23 +368,13 @@ mod tests {
         let recorder = Recorder::new(1, 16, clock);
         recorder.record(zab_trace::Stage::Submit, (4 << 32) | 1, 0);
         recorder.record(zab_trace::Stage::Deliver, (4 << 32) | 1, 0);
-        let role = Arc::new(Mutex::new(Role::Looking));
-        let health = Arc::new(Mutex::new(HealthState::new([2, 3])));
-        let server = AdminServer::start(
-            "127.0.0.1:0".parse().expect("addr"),
-            1,
-            metrics,
-            Arc::clone(&recorder),
-            role,
-            Arc::clone(&health),
-        )
-        .expect("bind");
-        (server, recorder, health)
+        AdminServer::start("127.0.0.1:0".parse().expect("addr"), metrics, recorder, ask_health)
+            .expect("bind")
     }
 
     #[test]
     fn metrics_route_serves_prometheus_text() {
-        let (server, _, _) = server();
+        let server = server();
         let (head, body) = get(server.addr(), "/metrics");
         assert!(head.starts_with("HTTP/1.0 200"), "head: {head}");
         assert!(head.contains("text/plain; version=0.0.4"), "head: {head}");
@@ -596,30 +383,49 @@ mod tests {
     }
 
     #[test]
-    fn health_route_serves_json_with_peers() {
-        let (server, _, health) = server();
-        health.lock().peer_ok(2);
-        health.lock().peer_failed(3, 4);
-        health.lock().last_committed = (4 << 32) | 9;
-        health.lock().syncing =
-            vec![SyncingPeer { peer: 3, chunks_remaining: 2, bytes_remaining: 4096 }];
+    fn health_route_serves_the_loops_answer() {
+        let server = server();
         let (head, body) = get(server.addr(), "/health");
         assert!(head.starts_with("HTTP/1.0 200"), "head: {head}");
-        assert!(body.contains("\"role\":\"looking\""), "body: {body}");
-        assert!(body.contains("\"last_committed\":\"4:9\""), "body: {body}");
-        assert!(body.contains("\"2\":{\"reachable\":true,\"failed_attempts\":0}"), "body: {body}");
-        assert!(body.contains("\"3\":{\"reachable\":false,\"failed_attempts\":5}"), "body: {body}");
+        assert!(head.contains("application/json"), "head: {head}");
+        assert_eq!(body, sample_health().to_json());
+    }
+
+    #[test]
+    fn health_the_loop_never_answers_is_503_within_its_bound() {
+        // A stand-in loop that takes every request and never replies.
+        let held = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let taken = Arc::clone(&held);
+        let server = server_asking(Box::new(move |reply| {
+            taken.lock().expect("lock").push(reply);
+            true
+        }));
+        let started = Instant::now();
+        let (head, _) = get(server.addr(), "/health");
+        let waited = started.elapsed();
+        assert!(head.starts_with("HTTP/1.0 503"), "head: {head}");
         assert!(
-            body.contains(
-                "\"syncing\":[{\"peer\":3,\"chunks_remaining\":2,\"bytes_remaining\":4096}]"
-            ),
-            "body: {body}"
+            waited >= HEALTH_DEADLINE && waited < HEALTH_DEADLINE + Duration::from_secs(2),
+            "deadline not enforced: waited {waited:?}"
         );
+        assert_eq!(held.lock().expect("lock").len(), 1);
+        let (head, body) = get(server.addr(), "/metrics");
+        assert!(head.starts_with("HTTP/1.0 200"), "head: {head}");
+        assert!(body.contains("core_proposals_proposed 7"), "body: {body}");
+    }
+
+    #[test]
+    fn health_after_the_loop_has_gone_is_503_at_once() {
+        let server = server_asking(Box::new(|_| false));
+        let started = Instant::now();
+        let (head, _) = get(server.addr(), "/health");
+        assert!(head.starts_with("HTTP/1.0 503"), "head: {head}");
+        assert!(started.elapsed() < HEALTH_DEADLINE, "waited {:?}", started.elapsed());
     }
 
     #[test]
     fn trace_route_serves_chrome_json_and_honors_last() {
-        let (server, _, _) = server();
+        let server = server();
         let (head, body) = get(server.addr(), "/trace");
         assert!(head.starts_with("HTTP/1.0 200"), "head: {head}");
         assert!(body.starts_with("{\"traceEvents\":["), "body: {body}");
@@ -631,7 +437,7 @@ mod tests {
 
     #[test]
     fn unknown_route_is_404_and_post_is_405() {
-        let (server, _, _) = server();
+        let server = server();
         let (head, _) = get(server.addr(), "/nope");
         assert!(head.starts_with("HTTP/1.0 404"), "head: {head}");
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
@@ -659,7 +465,7 @@ mod tests {
 
     #[test]
     fn trace_zxid_filter_hits_misses_and_rejects_malformed() {
-        let (server, _, _) = server();
+        let server = server();
         // Exact hit: the recorder holds submit+deliver for zxid 4:1.
         let (head, body) = get(server.addr(), "/trace?zxid=4:1");
         assert!(head.starts_with("HTTP/1.0 200"), "head: {head}");
@@ -676,7 +482,7 @@ mod tests {
 
     #[test]
     fn trace_raw_format_round_trips_fields() {
-        let (server, _, _) = server();
+        let server = server();
         let (head, body) = get(server.addr(), "/trace?format=raw&zxid=4:1");
         assert!(head.starts_with("HTTP/1.0 200"), "head: {head}");
         assert!(body.starts_with('['), "body: {body}");
@@ -686,56 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn health_reports_lag_delivery_and_latency_quantiles() {
-        let (server, _, health) = server();
-        {
-            let mut h = health.lock();
-            h.lag = vec![
-                LagEntry {
-                    peer: 2,
-                    acked_zxid: Some((4 << 32) | 7),
-                    lag_txns: Some(2),
-                    syncing: false,
-                },
-                LagEntry { peer: 3, acked_zxid: None, lag_txns: None, syncing: true },
-            ];
-            h.delivery = DeliveryState {
-                anchor: (4 << 32) | 1,
-                last: (4 << 32) | 9,
-                hash: 0xdead_beef,
-                checkpoints: vec![((4 << 32) | 64, 0xabc)],
-            };
-        }
-        let (_, body) = get(server.addr(), "/health");
-        assert!(
-            body.contains(
-                "{\"peer\":2,\"acked_zxid\":17179869191,\"acked\":\"4:7\",\"lag_txns\":2,\
-                 \"syncing\":false}"
-            ),
-            "body: {body}"
-        );
-        assert!(
-            body.contains(
-                "{\"peer\":3,\"acked_zxid\":null,\"acked\":null,\"lag_txns\":null,\
-                 \"syncing\":true}"
-            ),
-            "body: {body}"
-        );
-        assert!(body.contains("\"hash\":\"00000000deadbeef\""), "body: {body}");
-        assert!(
-            body.contains("\"checkpoints\":[[17179869248,\"0000000000000abc\"]]"),
-            "body: {body}"
-        );
-        // The server() fixture recorded one 3ms commit latency.
-        assert!(
-            body.contains("\"commit_latency_ms\":{\"count\":1,\"p50\":3,\"p99\":3,\"max\":3}"),
-            "body: {body}"
-        );
-    }
-
-    #[test]
     fn malformed_request_line_is_400() {
-        let (server, _, _) = server();
+        let server = server();
         for bad in ["GARBAGE\r\n\r\n", "\r\n\r\n", "GET\r\n\r\n"] {
             let mut stream = TcpStream::connect(server.addr()).expect("connect");
             stream.write_all(bad.as_bytes()).expect("write");
@@ -747,7 +505,7 @@ mod tests {
 
     #[test]
     fn oversized_head_is_400() {
-        let (server, _, _) = server();
+        let server = server();
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         let huge = format!("GET /metrics HTTP/1.0\r\nX-Pad: {}\r\n\r\n", "a".repeat(8192));
         stream.write_all(huge.as_bytes()).expect("write");
@@ -758,7 +516,7 @@ mod tests {
 
     #[test]
     fn slow_loris_is_cut_off_with_408() {
-        let (server, _, _) = server();
+        let server = server();
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         // Send a partial request line and stall past the deadline without
         // ever closing our write side.
@@ -785,11 +543,9 @@ mod tests {
         assert!(trace_json(&recorder, &TraceQuery::default()).len() > 8 << 20);
         let server = AdminServer::start(
             "127.0.0.1:0".parse().expect("addr"),
-            1,
             Arc::new(Registry::new()),
             recorder,
-            Arc::new(Mutex::new(Role::Looking)),
-            Arc::new(Mutex::new(HealthState::new([2, 3]))),
+            Box::new(|reply| reply.send(sample_health()).is_ok()),
         )
         .expect("bind");
         let addr = server.addr();

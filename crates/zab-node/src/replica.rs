@@ -1,6 +1,6 @@
 //! The replica event loop.
 
-use crate::admin::{AdminServer, DeliveryState, HealthState, LagEntry, SyncingPeer};
+use crate::admin::AdminServer;
 use crate::admission::SubmitGate;
 use crate::apps::Application;
 use crate::config::NodeConfig;
@@ -20,6 +20,7 @@ use zab_core::{
 use zab_election::{Process, ProcessOutput};
 use zab_log::{FileStorage, LogMetrics, MemStorage, Recovered, Storage, StorageError};
 use zab_metrics::{Clock, Registry, Snapshot, WallClock};
+use zab_trace::health::{DeliveryWitness, Health, LagRow, LatencySummary, PeerHealth, SyncingPeer};
 use zab_trace::{Recorder, Stage, TraceEvent, Tracer};
 use zab_transport::{Transport, TransportEvent, TransportMsg};
 
@@ -99,6 +100,8 @@ enum Command {
         /// at delivery once the zxid is known.
         admit_us: u64,
     },
+    /// Answer with a fresh `/health` document (the admin endpoint asks).
+    Health(Sender<Health>),
     Shutdown,
 }
 
@@ -234,20 +237,20 @@ impl<A: Application> Replica<A> {
         let window = cfg.submit_window.max(1);
         let submit_gate = Arc::new(SubmitGate::new(window));
         node_metrics.submit_window.set(window as i64);
-        let health = Arc::new(Mutex::new(HealthState::new(
-            cfg.peers.keys().filter(|p| **p != id).map(|p| p.0),
-        )));
         let admin = match cfg.admin_addr {
-            Some(addr) => Some(AdminServer::start(
-                addr,
-                id.0,
-                Arc::clone(&metrics),
-                Arc::clone(&recorder),
-                Arc::clone(&role),
-                Arc::clone(&health),
-            )?),
+            Some(addr) => {
+                let commands = commands_tx.clone();
+                Some(AdminServer::start(
+                    addr,
+                    Arc::clone(&metrics),
+                    Arc::clone(&recorder),
+                    Box::new(move |reply| commands.send(Command::Health(reply)).is_ok()),
+                )?)
+            }
             None => None,
         };
+        let peers = cfg.peers.keys().filter(|p| **p != id).map(|p| (p.0, PeerHealth::default()));
+        let peers = peers.collect();
 
         // Disk thread: group commit — drain everything queued, apply,
         // flush once, complete the batch's last token.
@@ -324,10 +327,9 @@ impl<A: Application> Replica<A> {
             election_started_ms: None,
             pending_submits: VecDeque::new(),
             tracer,
-            health,
+            peers,
             submit_gate: Arc::clone(&submit_gate),
             delivery_hash: DeliveryHash::new(),
-            published_hash_version: 0,
             lag_gauges: BTreeMap::new(),
         };
         let clock_for_replica = Arc::clone(&loop_state.clock);
@@ -398,7 +400,7 @@ impl<A: Application> Replica<A> {
                 self.submit_gate.release(1);
                 match e.0 {
                     Command::Submit { request, .. } => Err(SubmitError::Closed(request)),
-                    Command::Shutdown => Err(SubmitError::Closed(Vec::new())),
+                    _ => Err(SubmitError::Closed(Vec::new())),
                 }
             }
         }
@@ -497,8 +499,9 @@ struct EventLoop<A: Application> {
     /// Flight-recorder handle shared with storage, transport, and each
     /// automaton incarnation.
     tracer: Tracer,
-    /// Health facts served by the admin endpoint.
-    health: Arc<Mutex<HealthState>>,
+    /// What this replica knows about each peer's channel, seeded with
+    /// every peer; served in `/health`.
+    peers: BTreeMap<u64, PeerHealth>,
     /// Shared with [`Replica::submit`]: every acquired slot is released
     /// exactly once — on delivery, rejection, or demotion.
     submit_gate: Arc<SubmitGate>,
@@ -507,9 +510,6 @@ struct EventLoop<A: Application> {
     /// audit` compares across the ensemble. Lives here (not in the
     /// automaton) so it survives election churn within an epoch chain.
     delivery_hash: DeliveryHash,
-    /// `delivery_hash.version()` at the last health publish — skips the
-    /// checkpoint-ring copy on batch boundaries where nothing delivered.
-    published_hash_version: u64,
     /// Per-follower lag gauges (`core.follower_lag.<id>` /
     /// `core.follower_acked.<id>`), cached so publishing skips the
     /// registry's name lookup on every batch boundary.
@@ -618,6 +618,10 @@ impl<A: Application> EventLoop<A> {
                 self.on_submit(request, admit_us);
                 true
             }
+            Command::Health(reply) => {
+                let _ = reply.send(self.health());
+                true
+            }
             Command::Shutdown => false,
         }
     }
@@ -632,7 +636,9 @@ impl<A: Application> EventLoop<A> {
     fn on_transport_event(&mut self, ev: TransportEvent) {
         match ev {
             TransportEvent::Message { from, msg } => {
-                self.health.lock().peer_ok(from.0);
+                let channel = self.peers.entry(from.0).or_default();
+                channel.reachable = true;
+                channel.failed_attempts = 0;
                 match msg {
                     TransportMsg::Zab(m) => self.feed(Input::Message { from, msg: m }),
                     TransportMsg::Election(n) => {
@@ -644,11 +650,13 @@ impl<A: Application> EventLoop<A> {
                 }
             }
             TransportEvent::PeerDisconnected { peer } => {
-                self.health.lock().peer_down(peer.0);
+                self.peers.entry(peer.0).or_default().reachable = false;
                 self.feed(Input::PeerDisconnected { peer });
             }
             TransportEvent::ConnectFailed { peer, attempt, error } => {
-                self.health.lock().peer_failed(peer.0, attempt);
+                let channel = self.peers.entry(peer.0).or_default();
+                channel.reachable = false;
+                channel.failed_attempts = attempt.saturating_add(1);
                 self.node_metrics.peer_unreachable.inc();
                 let _ = self.events_tx.send(NodeEvent::PeerUnreachable { peer, attempt, error });
             }
@@ -885,34 +893,73 @@ impl<A: Application> EventLoop<A> {
         }
     }
 
-    fn publish_role(&mut self) {
-        if let Some(zab) = self.process.as_ref().and_then(Process::zab) {
-            let lags = zab.follower_lags();
-            {
-                let mut h = self.health.lock();
-                h.last_committed = zab.last_committed().0;
-                h.syncing = zab
-                    .syncing_peers()
-                    .into_iter()
-                    .map(|p| SyncingPeer {
-                        peer: p.peer.0,
-                        chunks_remaining: p.chunks_remaining,
-                        bytes_remaining: p.bytes_remaining,
-                    })
-                    .collect();
-                h.lag = lags
-                    .iter()
-                    .map(|l| LagEntry {
-                        peer: l.peer.0,
-                        acked_zxid: l.acked.map(|z| z.0),
-                        lag_txns: l.lag_txns,
-                        syncing: l.syncing,
-                    })
-                    .collect();
+    /// The `/health` document, assembled from live loop state.
+    fn health(&self) -> Health {
+        let zab = self.zab();
+        let last_committed =
+            zab.map_or_else(|| self.app.lock().applied_to(), Zab::last_committed).0;
+        // The leader serves its own epoch; elsewhere the last commit's.
+        let committed_epoch = last_committed >> 32;
+        let (role, active, leader, epoch) = match self.current_role() {
+            Role::Looking => ("looking", false, None, committed_epoch),
+            Role::Leading { established, epoch } => {
+                ("leading", established, Some(self.id.0), u64::from(epoch.0))
             }
-            // Per-follower gauges, outside the health lock. −1 encodes
-            // "unknown" (cross-epoch watermarks / snapshot-pending sync).
-            for l in &lags {
+            Role::Following { leader, active } => {
+                ("following", active, Some(leader.0), committed_epoch)
+            }
+            Role::Faulted => ("faulted", false, None, committed_epoch),
+        };
+        let lat = self.node_metrics.commit_latency_ms.snapshot();
+        Health {
+            node: self.id.0,
+            role: role.to_string(),
+            active,
+            epoch,
+            leader,
+            last_committed_zxid: last_committed,
+            peers: self.peers.clone(),
+            syncing: zab
+                .map(Zab::syncing_peers)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|p| SyncingPeer {
+                    peer: p.peer.0,
+                    chunks_remaining: p.chunks_remaining,
+                    bytes_remaining: p.bytes_remaining,
+                })
+                .collect(),
+            lag: zab
+                .map(Zab::follower_lags)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|l| LagRow {
+                    peer: l.peer.0,
+                    acked_zxid: l.acked.map(|z| z.0),
+                    lag_txns: l.lag_txns,
+                    syncing: l.syncing,
+                })
+                .collect(),
+            delivery: DeliveryWitness {
+                anchor_zxid: self.delivery_hash.anchor().0,
+                last_zxid: self.delivery_hash.last().0,
+                hash: self.delivery_hash.hash(),
+                checkpoints: self.delivery_hash.checkpoints().map(|c| (c.zxid.0, c.hash)).collect(),
+            },
+            commit_latency_ms: LatencySummary {
+                count: lat.count,
+                p50: lat.quantile(0.5),
+                p99: lat.quantile(0.99),
+                max: lat.max,
+            },
+        }
+    }
+
+    fn publish_role(&mut self) {
+        // Per-follower gauges. −1 encodes "unknown" (cross-epoch
+        // watermarks / snapshot-pending sync).
+        if let Some(zab) = self.process.as_ref().and_then(Process::zab) {
+            for l in zab.follower_lags() {
                 let (acked_g, lag_g) = self.lag_gauges.entry(l.peer.0).or_insert_with(|| {
                     (
                         self.registry
@@ -924,19 +971,6 @@ impl<A: Application> EventLoop<A> {
                 acked_g.set(l.acked.map_or(-1, |z| z.0 as i64));
                 lag_g.set(l.lag_txns.map_or(-1, |n| n as i64));
             }
-        } else {
-            let mut h = self.health.lock();
-            h.syncing.clear();
-            h.lag.clear();
-        }
-        if self.delivery_hash.version() != self.published_hash_version {
-            self.published_hash_version = self.delivery_hash.version();
-            self.health.lock().delivery = DeliveryState {
-                anchor: self.delivery_hash.anchor().0,
-                last: self.delivery_hash.last().0,
-                hash: self.delivery_hash.hash(),
-                checkpoints: self.delivery_hash.checkpoints().map(|c| (c.zxid.0, c.hash)).collect(),
-            };
         }
         let role = self.current_role();
         let is_primary = matches!(role, Role::Leading { established: true, .. });

@@ -20,9 +20,10 @@
 //! delivered prefix shows up as a hash divergence; a botched election
 //! shows up as an epoch regression or a double leader.
 
-use crate::model::NodeHealth;
 use crate::scrape::EnsembleSnapshot;
 use std::collections::BTreeMap;
+use zab_trace::health::Health;
+use zab_trace::{json_escape, zxid_display};
 
 /// One invariant violation found during an audit round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +43,23 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] node {}: {}", self.kind, self.node, self.detail)
     }
+}
+
+/// Renders one audit round as a single-line JSON object: `{"round",
+/// "nodes", "violations": [{"kind", "node", "detail"}]}`.
+pub fn render_round_json(round: u64, nodes: usize, violations: &[Violation]) -> String {
+    let rows: Vec<String> = violations
+        .iter()
+        .map(|v| {
+            format!(
+                "{{\"kind\":\"{}\",\"node\":{},\"detail\":\"{}\"}}",
+                v.kind,
+                v.node,
+                json_escape(&v.detail)
+            )
+        })
+        .collect();
+    format!("{{\"round\":{round},\"nodes\":{nodes},\"violations\":[{}]}}", rows.join(","))
 }
 
 /// Cross-round watchdog state (per-node epoch high-water marks).
@@ -76,15 +94,16 @@ impl AuditState {
                 });
             }
         }
-        self.check_epoch_monotonicity(&snap.nodes, &mut out);
-        check_single_leader(&snap.nodes, &mut out);
-        check_committed_bound(&snap.nodes, &mut out);
-        check_delivery_agreement(&snap.nodes, &mut out);
+        let nodes: Vec<&Health> = snap.nodes.iter().map(|(_, h)| h).collect();
+        self.check_epoch_monotonicity(&nodes, &mut out);
+        check_single_leader(&nodes, &mut out);
+        check_committed_bound(&nodes, &mut out);
+        check_delivery_agreement(&nodes, &mut out);
         self.rounds += 1;
         out
     }
 
-    fn check_epoch_monotonicity(&mut self, nodes: &[NodeHealth], out: &mut Vec<Violation>) {
+    fn check_epoch_monotonicity(&mut self, nodes: &[&Health], out: &mut Vec<Violation>) {
         for n in nodes {
             let prev = self.max_epoch.entry(n.node).or_insert(n.epoch);
             if n.epoch < *prev {
@@ -100,10 +119,10 @@ impl AuditState {
     }
 }
 
-fn check_single_leader(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
+fn check_single_leader(nodes: &[&Health], out: &mut Vec<Violation>) {
     let mut leaders_by_epoch: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for n in nodes {
-        if n.role == "leading" && n.active {
+        if n.leads() {
             leaders_by_epoch.entry(n.epoch).or_default().push(n.node);
         }
     }
@@ -118,8 +137,8 @@ fn check_single_leader(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
     }
 }
 
-fn check_committed_bound(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
-    let Some(leader) = nodes.iter().find(|n| n.role == "leading" && n.active) else {
+fn check_committed_bound(nodes: &[&Health], out: &mut Vec<Violation>) {
+    let Some(leader) = nodes.iter().find(|n| n.leads()) else {
         return;
     };
     for n in nodes {
@@ -134,7 +153,9 @@ fn check_committed_bound(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
                 node: n.node,
                 detail: format!(
                     "committed {} > leader {} ({})",
-                    n.last_committed, leader.last_committed, leader.node
+                    zxid_display(n.last_committed_zxid),
+                    zxid_display(leader.last_committed_zxid),
+                    leader.node
                 ),
             });
         }
@@ -143,7 +164,7 @@ fn check_committed_bound(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
 
 /// Comparison points of one node's chain: every checkpoint plus the
 /// current frontier `(last_zxid, hash)`.
-fn chain_points(n: &NodeHealth) -> BTreeMap<u64, u64> {
+fn chain_points(n: &Health) -> BTreeMap<u64, u64> {
     let mut pts: BTreeMap<u64, u64> = n.delivery.checkpoints.iter().copied().collect();
     if n.delivery.last_zxid != 0 {
         pts.insert(n.delivery.last_zxid, n.delivery.hash);
@@ -151,7 +172,7 @@ fn chain_points(n: &NodeHealth) -> BTreeMap<u64, u64> {
     pts
 }
 
-fn check_delivery_agreement(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
+fn check_delivery_agreement(nodes: &[&Health], out: &mut Vec<Violation>) {
     for (i, a) in nodes.iter().enumerate() {
         for b in &nodes[i + 1..] {
             // Incomparable unless both chains start at the same zxid.
@@ -167,12 +188,10 @@ fn check_delivery_agreement(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
                             kind: "delivery-hash-divergence",
                             node: a.node,
                             detail: format!(
-                                "nodes {} and {} disagree at zxid {}:{} \
-                                 ({ha:016x} vs {hb:016x})",
+                                "nodes {} and {} disagree at zxid {} ({ha:016x} vs {hb:016x})",
                                 a.node,
                                 b.node,
-                                zxid >> 32,
-                                zxid & 0xffff_ffff
+                                zxid_display(*zxid)
                             ),
                         });
                         // One divergence per pair is enough signal; the
@@ -188,27 +207,23 @@ fn check_delivery_agreement(nodes: &[NodeHealth], out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{DeliveryWitness, LatencySummary};
+    use zab_trace::health::DeliveryWitness;
 
-    fn node(id: u64, role: &str, epoch: u64, committed: u64) -> NodeHealth {
-        NodeHealth {
-            addr: format!("127.0.0.1:{}", 7460 + id),
+    fn node(id: u64, role: &str, epoch: u64, committed: u64) -> Health {
+        Health {
             node: id,
             role: role.to_string(),
             active: true,
             epoch,
             leader: Some(1),
             last_committed_zxid: committed,
-            last_committed: format!("{}:{}", committed >> 32, committed & 0xffff_ffff),
-            peers_reachable: Vec::new(),
-            lag: Vec::new(),
-            delivery: DeliveryWitness::default(),
-            commit_latency_ms: LatencySummary::default(),
+            ..Health::default()
         }
     }
 
-    fn snap(nodes: Vec<NodeHealth>) -> EnsembleSnapshot {
-        EnsembleSnapshot { nodes, errors: Vec::new() }
+    fn snap(nodes: Vec<Health>) -> EnsembleSnapshot {
+        let nodes = nodes.into_iter().map(|h| (format!("127.0.0.1:{}", 7460 + h.node), h));
+        EnsembleSnapshot { nodes: nodes.collect(), errors: Vec::new() }
     }
 
     const Z: fn(u64, u64) -> u64 = |e, c| (e << 32) | c;
@@ -302,13 +317,27 @@ mod tests {
 
     #[test]
     fn unreachable_nodes_flagged_only_in_watch_mode() {
-        let s = EnsembleSnapshot {
-            nodes: vec![node(1, "leading", 1, Z(1, 1))],
-            errors: vec![("127.0.0.1:9".to_string(), "connect refused".to_string())],
-        };
+        let mut s = snap(vec![node(1, "leading", 1, Z(1, 1))]);
+        s.errors.push(("127.0.0.1:9".to_string(), "connect refused".to_string()));
         assert!(AuditState::new().check_round(&s, false).is_empty());
         let v = AuditState::new().check_round(&s, true);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, "unreachable");
+    }
+
+    #[test]
+    fn round_json_escapes_control_characters_in_details() {
+        let mut s = snap(vec![node(1, "leading", 1, Z(1, 1))]);
+        s.errors.push(("127.0.0.1:\x01".to_string(), "bad\taddress \"x\"\n".to_string()));
+        let v = AuditState::new().check_round(&s, true);
+        let line = render_round_json(4, s.nodes.len(), &v);
+        let parsed = crate::json::Json::parse(&line).expect("audit line is valid JSON");
+        let detail = parsed.get("violations").and_then(|v| v.idx(0)).and_then(|v| v.get("detail"));
+        assert_eq!(
+            detail.and_then(crate::json::Json::as_str),
+            Some("127.0.0.1:\x01: bad\taddress \"x\"\n")
+        );
+        assert_eq!(parsed.get("round").and_then(crate::json::Json::as_u64), Some(4));
+        assert!(!line.contains('\n') && !line.contains('\t'), "{line:?}");
     }
 }

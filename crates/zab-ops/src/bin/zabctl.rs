@@ -9,10 +9,10 @@
 //! `--nodes` may also come from the `ZABCTL_NODES` environment variable.
 //! Exit codes: 0 clean, 1 violations found or nothing scrapable, 2 usage.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
-use zab_ops::{audit::AuditState, scrape, status};
+use zab_ops::audit::{self, AuditState};
+use zab_ops::{scrape, status};
 
 const USAGE: &str = "usage: zabctl --nodes <addr,addr,...> [--json] [--timeout-ms N] \
                      <status | trace <zxid> | audit [--watch] [--interval-ms N] [--rounds N]>";
@@ -90,7 +90,10 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         Some("status") => Cmd::Status,
         Some("trace") => {
             let z = positional.get(1).ok_or("trace needs a zxid")?;
-            Cmd::Trace(zab_ops::parse_zxid(z)?)
+            Cmd::Trace(
+                zab_trace::parse_zxid(z)
+                    .ok_or_else(|| format!("bad zxid {z:?} (packed or epoch:counter)"))?,
+            )
         }
         Some("audit") => Cmd::Audit,
         Some(other) => return Err(format!("unknown command {other:?}")),
@@ -126,7 +129,7 @@ fn run_trace(opts: &Opts, zxid: u64) -> ExitCode {
     let reference = snap
         .leader()
         .map(|l| l.node)
-        .unwrap_or_else(|| snap.nodes.first().map(|n| n.node).unwrap_or(0));
+        .unwrap_or_else(|| snap.nodes.first().map_or(0, |(_, n)| n.node));
     let (events, errors) = scrape::traces(&opts.nodes, opts.timeout);
     for (addr, err) in &errors {
         eprintln!("zabctl: trace scrape failed for {addr}: {err}");
@@ -138,12 +141,11 @@ fn run_trace(opts: &Opts, zxid: u64) -> ExitCode {
     // Align on the full event set (more wire edges -> better offsets),
     // then narrow to the requested zxid.
     let (aligned, offsets) = zab_trace::align::stitch(&events, reference);
-    let timeline = status::filter_zxid(&aligned, zxid);
-    let shown: BTreeMap<u64, i64> = offsets;
+    let timeline: Vec<_> = aligned.into_iter().filter(|e| e.covers(zxid)).collect();
     if opts.json {
-        println!("{}", status::render_timeline_json(zxid, &timeline, &shown));
+        println!("{}", status::render_timeline_json(zxid, &timeline, &offsets));
     } else {
-        print!("{}", status::render_timeline_text(zxid, &timeline, &shown));
+        print!("{}", status::render_timeline_text(zxid, &timeline, &offsets));
     }
     ExitCode::SUCCESS
 }
@@ -160,24 +162,7 @@ fn run_audit(opts: &Opts) -> ExitCode {
         let violations = state.check_round(&snap, opts.watch);
         total += violations.len() as u64;
         if opts.json {
-            let mut out = String::from("{\"round\":");
-            out.push_str(&round.to_string());
-            out.push_str(",\"nodes\":");
-            out.push_str(&snap.nodes.len().to_string());
-            out.push_str(",\"violations\":[");
-            for (i, v) in violations.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"kind\":\"{}\",\"node\":{},\"detail\":\"{}\"}}",
-                    v.kind,
-                    v.node,
-                    v.detail.replace('\\', "\\\\").replace('"', "\\\"")
-                ));
-            }
-            out.push_str("]}");
-            println!("{out}");
+            println!("{}", audit::render_round_json(round, snap.nodes.len(), &violations));
         } else {
             if violations.is_empty() {
                 println!(

@@ -6,7 +6,9 @@
 //! something about the *ensemble*:
 //!
 //! - [`scrape`] pulls `/health` and raw traces from an address list,
-//!   tolerating partial answers.
+//!   tolerating partial answers; [`model`] parses them back into the
+//!   types the node rendered them from ([`zab_trace::health::Health`],
+//!   [`zab_trace::TraceEvent`]).
 //! - [`zab_trace::align`] (consumed here) estimates per-node clock
 //!   offsets from causal wire edges and stitches per-node flight-recorder
 //!   rings into one cross-node timeline; [`status`] renders the timeline
@@ -32,35 +34,4 @@ pub mod scrape;
 pub mod status;
 
 pub use audit::{AuditState, Violation};
-pub use model::{DeliveryWitness, LagRow, LatencySummary, NodeHealth};
 pub use scrape::EnsembleSnapshot;
-
-/// Parses a zxid argument: either packed decimal (`4294967299`) or
-/// `epoch:counter` (`1:3`).
-pub fn parse_zxid(s: &str) -> Result<u64, String> {
-    if let Some((e, c)) = s.split_once(':') {
-        let e: u64 = e.parse().map_err(|_| format!("bad epoch in {s:?}"))?;
-        let c: u64 = c.parse().map_err(|_| format!("bad counter in {s:?}"))?;
-        if e > u32::MAX as u64 || c > u32::MAX as u64 {
-            return Err(format!("zxid parts out of range in {s:?}"));
-        }
-        Ok((e << 32) | c)
-    } else {
-        s.parse().map_err(|_| format!("bad zxid {s:?}"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_zxid_accepts_both_forms() {
-        assert_eq!(parse_zxid("4294967299"), Ok((1 << 32) | 3));
-        assert_eq!(parse_zxid("1:3"), Ok((1 << 32) | 3));
-        assert_eq!(parse_zxid("0:0"), Ok(0));
-        assert!(parse_zxid("x").is_err());
-        assert!(parse_zxid("1:x").is_err());
-        assert!(parse_zxid("4294967296:1").is_err());
-    }
-}

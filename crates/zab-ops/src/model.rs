@@ -1,88 +1,30 @@
-//! Typed views of the admin-endpoint documents.
+//! Parsers for the admin-endpoint documents.
 //!
-//! `NodeHealth` is the parsed `/health` body; `parse_raw_trace` turns a
-//! `/trace?format=raw` body back into [`zab_trace::TraceEvent`]s so the
-//! stitcher can run on scraped data. Parsing is strict about the fields
-//! the auditor reasons over (roles, watermarks, hashes) and lenient about
-//! everything else.
+//! [`parse_health`] reads a `/health` body back into the
+//! [`zab_trace::health::Health`] the node rendered it from;
+//! [`parse_raw_trace`] turns a `/trace?format=raw` body back into
+//! [`zab_trace::TraceEvent`]s so the stitcher can run on scraped data.
+//! Every field is required except the `Option`s, which read `null` (or
+//! absence) as `None`.
 
 use crate::json::Json;
+use zab_trace::health::{DeliveryWitness, Health, LagRow, LatencySummary, PeerHealth, SyncingPeer};
 use zab_trace::{Stage, TraceEvent};
 
-/// One follower's replication lag, from the leader's `/health` `lag` array.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LagRow {
-    /// The follower's server id.
-    pub peer: u64,
-    /// Its cumulative ack watermark (packed zxid), if active.
-    pub acked_zxid: Option<u64>,
-    /// Committed txns it has not acked, when the leader could compute it.
-    pub lag_txns: Option<u64>,
-    /// True while the leader is still catch-up syncing this peer.
-    pub syncing: bool,
-}
-
-/// The delivered-prefix hash witness from `/health` `delivery`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeliveryWitness {
-    /// First zxid folded into the current chain (0 = nothing delivered).
-    pub anchor_zxid: u64,
-    /// Last zxid folded in.
-    pub last_zxid: u64,
-    /// Chain hash over the delivered prefix since the anchor.
-    pub hash: u64,
-    /// Stride checkpoints `(zxid, chain hash)`, oldest first.
-    pub checkpoints: Vec<(u64, u64)>,
-}
-
-/// Commit-latency summary from the node's histogram.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Interpolated median, ms.
-    pub p50: u64,
-    /// Interpolated 99th percentile, ms.
-    pub p99: u64,
-    /// Maximum, ms.
-    pub max: u64,
-}
-
-/// One node's `/health` document, parsed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeHealth {
-    /// Admin address this was scraped from.
-    pub addr: String,
-    /// The node's server id.
-    pub node: u64,
-    /// `"leading"`, `"following"`, `"looking"`, or `"faulted"`.
-    pub role: String,
-    /// Serving its role (established leader / synced follower).
-    pub active: bool,
-    /// Current epoch (leader's own, or from last committed elsewhere).
-    pub epoch: u64,
-    /// Who this node thinks leads, if anyone.
-    pub leader: Option<u64>,
-    /// Highest committed zxid, packed.
-    pub last_committed_zxid: u64,
-    /// Highest committed zxid, display form (`"epoch:counter"`).
-    pub last_committed: String,
-    /// Reachable peer ids (from the `peers` map).
-    pub peers_reachable: Vec<u64>,
-    /// Per-follower lag (leaders only; empty elsewhere).
-    pub lag: Vec<LagRow>,
-    /// Delivered-prefix hash witness.
-    pub delivery: DeliveryWitness,
-    /// Commit-latency summary.
-    pub commit_latency_ms: LatencySummary,
-}
-
 fn need<'a>(j: &'a Json, key: &'static str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("/health missing {key:?}"))
+    j.get(key).ok_or_else(|| format!("missing {key:?}"))
 }
 
 fn need_u64(j: &Json, key: &'static str) -> Result<u64, String> {
-    need(j, key)?.as_u64().ok_or_else(|| format!("/health {key:?} is not a u64"))
+    need(j, key)?.as_u64().ok_or_else(|| format!("{key:?} is not a u64"))
+}
+
+fn need_bool(j: &Json, key: &'static str) -> Result<bool, String> {
+    need(j, key)?.as_bool().ok_or_else(|| format!("{key:?} is not a bool"))
+}
+
+fn opt_u64(j: &Json, key: &'static str) -> Option<u64> {
+    j.get(key).and_then(Json::as_u64)
 }
 
 fn parse_hex_hash(j: &Json, what: &str) -> Result<u64, String> {
@@ -90,65 +32,83 @@ fn parse_hex_hash(j: &Json, what: &str) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|e| format!("{what} {s:?}: {e}"))
 }
 
-impl NodeHealth {
-    /// Parses a `/health` body scraped from `addr`.
-    pub fn parse(addr: &str, body: &str) -> Result<NodeHealth, String> {
-        let j = Json::parse(body).map_err(|e| format!("/health from {addr}: {e}"))?;
-        let delivery = need(&j, "delivery")?;
-        let mut checkpoints = Vec::new();
-        for cp in need(delivery, "checkpoints")?.items() {
-            let z = cp.idx(0).and_then(Json::as_u64).ok_or("checkpoint zxid")?;
-            let h = parse_hex_hash(cp.idx(1).unwrap_or(&Json::Null), "checkpoint hash")?;
-            checkpoints.push((z, h));
-        }
-        let mut lag = Vec::new();
-        for l in need(&j, "lag")?.items() {
-            lag.push(LagRow {
-                peer: need_u64(l, "peer")?,
-                acked_zxid: l.get("acked_zxid").and_then(Json::as_u64),
-                lag_txns: l.get("lag_txns").and_then(Json::as_u64),
-                syncing: l.get("syncing").and_then(Json::as_bool).unwrap_or(false),
-            });
-        }
-        let mut peers_reachable = Vec::new();
-        if let Some(peers) = need(&j, "peers")?.members() {
-            for (id, ph) in peers {
-                if ph.get("reachable").and_then(Json::as_bool) == Some(true) {
-                    if let Ok(id) = id.parse() {
-                        peers_reachable.push(id);
-                    }
-                }
-            }
-        }
-        let lat = need(&j, "commit_latency_ms")?;
-        Ok(NodeHealth {
-            addr: addr.to_string(),
-            node: need_u64(&j, "node")?,
-            role: need(&j, "role")?.as_str().ok_or("role")?.to_string(),
-            active: need(&j, "active")?.as_bool().ok_or("active")?,
-            epoch: need_u64(&j, "epoch")?,
-            leader: j.get("leader").and_then(Json::as_u64),
-            last_committed_zxid: need_u64(&j, "last_committed_zxid")?,
-            last_committed: need(&j, "last_committed")?
-                .as_str()
-                .ok_or("last_committed")?
-                .to_string(),
-            peers_reachable,
-            lag,
-            delivery: DeliveryWitness {
-                anchor_zxid: need_u64(delivery, "anchor_zxid")?,
-                last_zxid: need_u64(delivery, "last_zxid")?,
-                hash: parse_hex_hash(need(delivery, "hash")?, "delivery hash")?,
-                checkpoints,
+/// Parses a `/health` body scraped from `addr` (see
+/// [`Health::to_json`]).
+pub fn parse_health(addr: &str, body: &str) -> Result<Health, String> {
+    let j = Json::parse(body).map_err(|e| e.to_string())?;
+    health(&j).map_err(|e| format!("/health from {addr}: {e}"))
+}
+
+fn health(j: &Json) -> Result<Health, String> {
+    let mut peers = std::collections::BTreeMap::new();
+    for (id, p) in need(j, "peers")?.members().ok_or("\"peers\" is not an object")? {
+        let id = id.parse().map_err(|_| format!("peer id {id:?}"))?;
+        let failed_attempts = need_u64(p, "failed_attempts")?;
+        peers.insert(
+            id,
+            PeerHealth {
+                reachable: need_bool(p, "reachable")?,
+                failed_attempts: u32::try_from(failed_attempts)
+                    .map_err(|_| format!("failed_attempts {failed_attempts}"))?,
             },
-            commit_latency_ms: LatencySummary {
-                count: need_u64(lat, "count")?,
-                p50: need_u64(lat, "p50")?,
-                p99: need_u64(lat, "p99")?,
-                max: need_u64(lat, "max")?,
-            },
-        })
+        );
     }
+    let syncing = need(j, "syncing")?
+        .items()
+        .iter()
+        .map(|s| {
+            Ok(SyncingPeer {
+                peer: need_u64(s, "peer")?,
+                chunks_remaining: need_u64(s, "chunks_remaining")?,
+                bytes_remaining: need_u64(s, "bytes_remaining")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let lag = need(j, "lag")?
+        .items()
+        .iter()
+        .map(|l| {
+            Ok(LagRow {
+                peer: need_u64(l, "peer")?,
+                acked_zxid: opt_u64(l, "acked_zxid"),
+                lag_txns: opt_u64(l, "lag_txns"),
+                syncing: need_bool(l, "syncing")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let delivery = need(j, "delivery")?;
+    let checkpoints = need(delivery, "checkpoints")?
+        .items()
+        .iter()
+        .map(|cp| {
+            let z = cp.idx(0).and_then(Json::as_u64).ok_or("checkpoint zxid")?;
+            Ok((z, parse_hex_hash(cp.idx(1).unwrap_or(&Json::Null), "checkpoint hash")?))
+        })
+        .collect::<Result<_, String>>()?;
+    let lat = need(j, "commit_latency_ms")?;
+    Ok(Health {
+        node: need_u64(j, "node")?,
+        role: need(j, "role")?.as_str().ok_or("\"role\" is not a string")?.to_string(),
+        active: need_bool(j, "active")?,
+        epoch: need_u64(j, "epoch")?,
+        leader: opt_u64(j, "leader"),
+        last_committed_zxid: need_u64(j, "last_committed_zxid")?,
+        peers,
+        syncing,
+        lag,
+        delivery: DeliveryWitness {
+            anchor_zxid: need_u64(delivery, "anchor_zxid")?,
+            last_zxid: need_u64(delivery, "last_zxid")?,
+            hash: parse_hex_hash(need(delivery, "hash")?, "delivery hash")?,
+            checkpoints,
+        },
+        commit_latency_ms: LatencySummary {
+            count: need_u64(lat, "count")?,
+            p50: need_u64(lat, "p50")?,
+            p99: need_u64(lat, "p99")?,
+            max: need_u64(lat, "max")?,
+        },
+    })
 }
 
 /// Parses a `/trace?format=raw` body back into trace events.
@@ -176,7 +136,9 @@ pub fn parse_raw_trace(addr: &str, body: &str) -> Result<Vec<TraceEvent>, String
 mod tests {
     use super::*;
 
-    // A representative /health body, shaped exactly like admin.rs emits.
+    use std::collections::BTreeMap;
+
+    // A /health body as a node serves it.
     const HEALTH: &str = concat!(
         r#"{"node":1,"role":"leading","active":true,"epoch":1,"leader":1,"#,
         r#""last_committed":"1:3","last_committed_zxid":4294967299,"#,
@@ -191,13 +153,13 @@ mod tests {
 
     #[test]
     fn parses_full_health_document() {
-        let h = NodeHealth::parse("127.0.0.1:7461", HEALTH).expect("parse");
+        let h = parse_health("127.0.0.1:7461", HEALTH).expect("parse");
         assert_eq!(h.node, 1);
-        assert_eq!(h.role, "leading");
-        assert!(h.active);
+        assert!(h.leads());
         assert_eq!(h.leader, Some(1));
         assert_eq!(h.last_committed_zxid, (1 << 32) | 3);
-        assert_eq!(h.peers_reachable, vec![2]);
+        assert_eq!(h.peers[&2], PeerHealth { reachable: true, failed_attempts: 0 });
+        assert_eq!(h.peers[&3], PeerHealth { reachable: false, failed_attempts: 4 });
         assert_eq!(h.lag.len(), 2);
         assert_eq!(h.lag[0].lag_txns, Some(0));
         assert_eq!(h.lag[1].acked_zxid, None);
@@ -205,13 +167,54 @@ mod tests {
         assert_eq!(h.delivery.hash, 0xdead_beef);
         assert_eq!(h.delivery.checkpoints, vec![((1 << 32) | 64, 0xabc)]);
         assert_eq!(h.commit_latency_ms.p99, 9);
+        // Rendering the parsed document reproduces the served body.
+        assert_eq!(h.to_json(), HEALTH);
+    }
+
+    #[test]
+    fn a_fully_populated_document_round_trips() {
+        let h = Health {
+            node: 2,
+            role: "following".to_string(),
+            active: true,
+            epoch: 7,
+            leader: Some(3),
+            last_committed_zxid: (7 << 32) | 1200,
+            peers: BTreeMap::from([
+                (1, PeerHealth { reachable: false, failed_attempts: 9 }),
+                (3, PeerHealth { reachable: true, failed_attempts: 0 }),
+            ]),
+            syncing: vec![SyncingPeer { peer: 1, chunks_remaining: 3, bytes_remaining: 1 << 20 }],
+            lag: vec![
+                LagRow {
+                    peer: 1,
+                    acked_zxid: Some((7 << 32) | 1000),
+                    lag_txns: Some(200),
+                    syncing: true,
+                },
+                LagRow { peer: 3, acked_zxid: None, lag_txns: None, syncing: false },
+            ],
+            delivery: DeliveryWitness {
+                anchor_zxid: (7 << 32) | 1,
+                last_zxid: (7 << 32) | 1200,
+                hash: u64::MAX - 1,
+                checkpoints: vec![((7 << 32) | 1024, 0x0123_4567_89ab_cdef)],
+            },
+            commit_latency_ms: LatencySummary { count: 100, p50: 2, p99: 12, max: 40 },
+        };
+        assert_eq!(parse_health("a", &h.to_json()), Ok(h));
     }
 
     #[test]
     fn rejects_health_missing_required_fields() {
-        let err = NodeHealth::parse("a", r#"{"node":1}"#).unwrap_err();
-        assert!(err.contains("delivery"), "err was {err:?}");
-        assert!(NodeHealth::parse("a", "not json").is_err());
+        let err = parse_health("a", r#"{"node":1}"#).unwrap_err();
+        assert!(err.contains("missing"), "err was {err:?}");
+        let mut body = HEALTH.replace(r#","failed_attempts":4"#, "");
+        let err = parse_health("a", &body).unwrap_err();
+        assert!(err.contains("failed_attempts"), "err was {err:?}");
+        body = HEALTH.replace(r#""syncing":[],"#, "");
+        assert!(parse_health("a", &body).unwrap_err().contains("syncing"));
+        assert!(parse_health("a", "not json").is_err());
     }
 
     #[test]

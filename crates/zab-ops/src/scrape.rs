@@ -6,8 +6,9 @@
 //! but still checks the reachable ones).
 
 use crate::http;
-use crate::model::{parse_raw_trace, NodeHealth};
+use crate::model::{parse_health, parse_raw_trace};
 use std::time::Duration;
+use zab_trace::health::Health;
 use zab_trace::TraceEvent;
 
 /// Default per-request timeout.
@@ -16,31 +17,27 @@ pub const SCRAPE_TIMEOUT: Duration = Duration::from_secs(3);
 /// One scrape round over the whole ensemble.
 #[derive(Debug)]
 pub struct EnsembleSnapshot {
-    /// Nodes that answered `/health`, in the order scraped.
-    pub nodes: Vec<NodeHealth>,
+    /// Nodes that answered `/health`, as `(addr, document)`, in the
+    /// order scraped.
+    pub nodes: Vec<(String, Health)>,
     /// Nodes that did not, as `(addr, error)`.
     pub errors: Vec<(String, String)>,
 }
 
 impl EnsembleSnapshot {
     /// The leader's health, if an established leader answered.
-    pub fn leader(&self) -> Option<&NodeHealth> {
-        self.nodes.iter().find(|n| n.role == "leading" && n.active)
-    }
-
-    /// The node with server id `id`, if it answered.
-    pub fn node(&self, id: u64) -> Option<&NodeHealth> {
-        self.nodes.iter().find(|n| n.node == id)
+    pub fn leader(&self) -> Option<&Health> {
+        self.nodes.iter().map(|(_, h)| h).find(|h| h.leads())
     }
 }
 
 /// Scrapes `/health` from one node.
-pub fn health(addr: &str, timeout: Duration) -> Result<NodeHealth, String> {
+pub fn health(addr: &str, timeout: Duration) -> Result<Health, String> {
     let resp = http::get(addr, "/health", timeout).map_err(|e| e.to_string())?;
     if resp.status != 200 {
         return Err(format!("{addr}: /health returned {}", resp.status));
     }
-    NodeHealth::parse(addr, &resp.body)
+    parse_health(addr, &resp.body)
 }
 
 /// Scrapes `/health` from every address. For leader-relative invariants
@@ -53,19 +50,15 @@ pub fn ensemble(addrs: &[String], timeout: Duration) -> EnsembleSnapshot {
     let mut errors = Vec::new();
     for addr in addrs {
         match health(addr, timeout) {
-            Ok(h) => nodes.push(h),
+            Ok(h) => nodes.push((addr.clone(), h)),
             Err(e) => errors.push((addr.clone(), e)),
         }
     }
     // Second pass: refresh the leader last so cross-node watermark
     // comparisons are sound under monotone reads.
-    let leader_addr =
-        nodes.iter().find(|n| n.role == "leading" && n.active).map(|n| n.addr.clone());
-    if let Some(addr) = leader_addr {
-        if let Ok(fresh) = health(&addr, timeout) {
-            if let Some(slot) = nodes.iter_mut().find(|n| n.addr == addr) {
-                *slot = fresh;
-            }
+    if let Some((addr, leader)) = nodes.iter_mut().find(|(_, h)| h.leads()) {
+        if let Ok(fresh) = health(addr, timeout) {
+            *leader = fresh;
         }
     }
     EnsembleSnapshot { nodes, errors }

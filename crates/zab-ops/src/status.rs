@@ -3,31 +3,10 @@
 //! Both commands render twice: a human table for terminals and a JSON
 //! document for scripts (`--json`), with the same facts in each.
 
-use crate::model::NodeHealth;
 use crate::scrape::EnsembleSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use zab_trace::TraceEvent;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn zxid_display(z: u64) -> String {
-    format!("{}:{}", z >> 32, z & 0xffff_ffff)
-}
+use zab_trace::{json_escape, zxid_display, TraceEvent};
 
 /// Renders the ensemble summary as a human-readable table.
 pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
@@ -37,7 +16,9 @@ pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
             let _ = writeln!(
                 out,
                 "ensemble: leader={} epoch={} committed={}",
-                l.node, l.epoch, l.last_committed
+                l.node,
+                l.epoch,
+                zxid_display(l.last_committed_zxid)
             );
         }
         None => {
@@ -49,16 +30,16 @@ pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
         "{:<4} {:<21} {:<10} {:<7} {:<6} {:<12} {:>7} {:>7}",
         "id", "addr", "role", "active", "epoch", "committed", "p50ms", "p99ms"
     );
-    for n in &snap.nodes {
+    for (addr, n) in &snap.nodes {
         let _ = writeln!(
             out,
             "{:<4} {:<21} {:<10} {:<7} {:<6} {:<12} {:>7} {:>7}",
             n.node,
-            n.addr,
+            addr,
             n.role,
             n.active,
             n.epoch,
-            n.last_committed,
+            zxid_display(n.last_committed_zxid),
             n.commit_latency_ms.p50,
             n.commit_latency_ms.p99
         );
@@ -82,50 +63,8 @@ pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
     out
 }
 
-fn node_json(n: &NodeHealth) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"node\":{},\"addr\":\"{}\",\"role\":\"{}\",\"active\":{},\"epoch\":{},\
-         \"last_committed\":\"{}\",\"last_committed_zxid\":{},\
-         \"commit_latency_ms\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}},\"lag\":[",
-        n.node,
-        esc(&n.addr),
-        esc(&n.role),
-        n.active,
-        n.epoch,
-        esc(&n.last_committed),
-        n.last_committed_zxid,
-        n.commit_latency_ms.count,
-        n.commit_latency_ms.p50,
-        n.commit_latency_ms.p99,
-        n.commit_latency_ms.max
-    );
-    for (i, r) in n.lag.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"peer\":{},\"acked_zxid\":", r.peer);
-        match r.acked_zxid {
-            Some(z) => {
-                let _ = write!(out, "{z}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"lag_txns\":");
-        match r.lag_txns {
-            Some(n) => {
-                let _ = write!(out, "{n}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"syncing\":{}}}", r.syncing);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Renders the ensemble summary as one JSON object. Top-level
+/// Renders the ensemble summary as one JSON object: each node is its
+/// `/health` document plus the `addr` it was scraped from. Top-level
 /// `last_committed_zxid` is the leader's watermark (0 with no leader) so
 /// scripts can grab a commit to trace without digging into the node list.
 pub fn render_status_json(snap: &EnsembleSnapshot) -> String {
@@ -139,43 +78,35 @@ pub fn render_status_json(snap: &EnsembleSnapshot) -> String {
                 l.node,
                 l.epoch,
                 l.last_committed_zxid,
-                esc(&l.last_committed)
+                zxid_display(l.last_committed_zxid)
             );
         }
         None => out.push_str("{\"leader\":null,\"epoch\":null,\"last_committed_zxid\":0"),
     }
     out.push_str(",\"nodes\":[");
-    for (i, n) in snap.nodes.iter().enumerate() {
+    for (i, (addr, n)) in snap.nodes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&node_json(n));
+        // The document is one object: open it with `addr`, then its own
+        // members after the leading `{`.
+        let doc = n.to_json();
+        let _ = write!(out, "{{\"addr\":\"{}\",{}", json_escape(addr), &doc[1..]);
     }
     out.push_str("],\"errors\":[");
     for (i, (addr, err)) in snap.errors.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"addr\":\"{}\",\"error\":\"{}\"}}", esc(addr), esc(err));
+        let _ = write!(
+            out,
+            "{{\"addr\":\"{}\",\"error\":\"{}\"}}",
+            json_escape(addr),
+            json_escape(err)
+        );
     }
     out.push_str("]}");
     out
-}
-
-/// Keeps the events relevant to `zxid`: point events on it, spans whose
-/// inclusive range covers it.
-pub fn filter_zxid(events: &[TraceEvent], zxid: u64) -> Vec<TraceEvent> {
-    events
-        .iter()
-        .filter(|e| {
-            if e.is_span() && e.zxid_end >= e.zxid {
-                e.zxid <= zxid && zxid <= e.zxid_end
-            } else {
-                e.zxid == zxid
-            }
-        })
-        .copied()
-        .collect()
 }
 
 /// Renders a stitched cross-node timeline for one zxid. `events` must
@@ -241,20 +172,18 @@ pub fn render_timeline_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{DeliveryWitness, LagRow, LatencySummary};
+    use zab_trace::health::{Health, LagRow, LatencySummary, PeerHealth};
     use zab_trace::Stage;
 
     fn leader_with_lag() -> EnsembleSnapshot {
-        let leader = NodeHealth {
-            addr: "127.0.0.1:7461".to_string(),
+        let leader = Health {
             node: 1,
             role: "leading".to_string(),
             active: true,
             epoch: 1,
             leader: Some(1),
             last_committed_zxid: (1 << 32) | 9,
-            last_committed: "1:9".to_string(),
-            peers_reachable: vec![2],
+            peers: [(2, PeerHealth { reachable: true, failed_attempts: 0 })].into(),
             lag: vec![
                 LagRow {
                     peer: 2,
@@ -264,11 +193,11 @@ mod tests {
                 },
                 LagRow { peer: 3, acked_zxid: None, lag_txns: Some(4), syncing: true },
             ],
-            delivery: DeliveryWitness::default(),
             commit_latency_ms: LatencySummary { count: 5, p50: 2, p99: 8, max: 9 },
+            ..Health::default()
         };
         EnsembleSnapshot {
-            nodes: vec![leader],
+            nodes: vec![("127.0.0.1:7461".to_string(), leader)],
             errors: vec![("127.0.0.1:7463".to_string(), "connect: refused".to_string())],
         }
     }
@@ -291,6 +220,12 @@ mod tests {
             Some(4)
         );
         assert_eq!(parsed.get("errors").map(|e| e.items().len()), Some(1));
+        // Each node is its whole /health document plus where it came from.
+        let node = parsed.get("nodes").and_then(|n| n.idx(0)).expect("node");
+        assert_eq!(node.get("addr").and_then(crate::json::Json::as_str), Some("127.0.0.1:7461"));
+        assert_eq!(node.get("last_committed").and_then(crate::json::Json::as_str), Some("1:9"));
+        assert!(node.get("peers").and_then(|p| p.get("2")).is_some(), "{json}");
+        assert!(node.get("syncing").is_some_and(|s| s.items().is_empty()), "{json}");
     }
 
     #[test]
@@ -299,43 +234,6 @@ mod tests {
         assert!(text.contains("leader=1"), "text:\n{text}");
         assert!(text.contains("syncing"), "text:\n{text}");
         assert!(text.contains("unreachable: 127.0.0.1:7463"), "text:\n{text}");
-    }
-
-    #[test]
-    fn zxid_filter_matches_points_and_spans() {
-        let z = (1u64 << 32) | 5;
-        let events = [
-            TraceEvent {
-                ts_us: 1,
-                dur_us: 0,
-                node: 1,
-                zxid: z,
-                zxid_end: z,
-                stage: Stage::Submit,
-                peer: 0,
-            },
-            TraceEvent {
-                ts_us: 2,
-                dur_us: 9,
-                node: 1,
-                zxid: (1 << 32) | 3,
-                zxid_end: (1 << 32) | 7,
-                stage: Stage::LogAppend,
-                peer: 0,
-            },
-            TraceEvent {
-                ts_us: 3,
-                dur_us: 0,
-                node: 2,
-                zxid: (1 << 32) | 6,
-                zxid_end: (1 << 32) | 6,
-                stage: Stage::Deliver,
-                peer: 0,
-            },
-        ];
-        let hits = filter_zxid(&events, z);
-        assert_eq!(hits.len(), 2);
-        assert!(filter_zxid(&events, (9 << 32) | 1).is_empty());
     }
 
     #[test]

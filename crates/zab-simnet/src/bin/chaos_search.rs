@@ -37,24 +37,6 @@ fn parse_arg(arg: Option<String>, name: &str, default: u64) -> u64 {
     }
 }
 
-/// Aggregate sweep metrics as a small flat JSON object (every value is a
-/// plain integer or float — no escaping needed).
-fn metrics_json(reports: &[ChaosReport]) -> String {
-    let ops: u64 = reports.iter().map(|r| r.ops_completed).sum();
-    let faults: u64 = reports.iter().map(|r| r.storage_faults).sum();
-    let msgs: u64 = reports.iter().map(|r| r.messages_delivered).sum();
-    let dropped: u64 = reports.iter().map(|r| r.messages_dropped).sum();
-    let elections: u64 = reports.iter().map(|r| r.elections_started).sum();
-    let virt_us: u64 = reports.iter().map(|r| r.end_us).sum();
-    format!(
-        "{{\"runs\":{},\"ops_completed\":{ops},\"messages_delivered\":{msgs},\
-         \"messages_dropped\":{dropped},\"elections_started\":{elections},\
-         \"storage_faults\":{faults},\"virtual_seconds\":{:.3}}}",
-        reports.len(),
-        virt_us as f64 / 1_000_000.0,
-    )
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let start = parse_arg(args.next(), "START_SEED", 0);
@@ -77,21 +59,29 @@ fn main() {
 
     match chaos::sweep(start, count, &cfg) {
         Ok(reports) => {
-            let ops: u64 = reports.iter().map(|r| r.ops_completed).sum();
-            let faults: u64 = reports.iter().map(|r| r.storage_faults).sum();
-            let msgs: u64 = reports.iter().map(|r| r.messages_delivered).sum();
-            let dropped: u64 = reports.iter().map(|r| r.messages_dropped).sum();
-            let elections: u64 = reports.iter().map(|r| r.elections_started).sum();
-            let virt_s: f64 = reports.iter().map(|r| r.end_us).sum::<u64>() as f64 / 1_000_000.0;
+            let sum = |f: fn(&ChaosReport) -> u64| reports.iter().map(f).sum::<u64>();
+            let runs = reports.len();
+            let ops = sum(|r| r.ops_completed);
+            let msgs = sum(|r| r.messages_delivered);
+            let dropped = sum(|r| r.messages_dropped);
+            let elections = sum(|r| r.elections_started);
+            let faults = sum(|r| r.storage_faults);
+            let virt_s = sum(|r| r.end_us) as f64 / 1_000_000.0;
             println!(
-                "PASS: {} runs, {virt_s:.1}s virtual time, {ops} ops committed, \
+                "PASS: {runs} runs, {virt_s:.1}s virtual time, {ops} ops committed, \
                  {msgs} msgs delivered ({dropped} dropped), {elections} elections, \
                  {faults} injected storage fail-stops",
-                reports.len(),
+            );
+            // The same totals as a small flat JSON object (every value is
+            // a plain integer or float — no escaping needed).
+            let summary = format!(
+                "{{\"runs\":{runs},\"ops_completed\":{ops},\"messages_delivered\":{msgs},\
+                 \"messages_dropped\":{dropped},\"elections_started\":{elections},\
+                 \"storage_faults\":{faults},\"virtual_seconds\":{virt_s:.3}}}"
             );
             let path =
                 std::env::var("CHAOS_METRICS").unwrap_or_else(|_| "chaos-metrics.json".to_string());
-            match std::fs::write(&path, metrics_json(&reports)) {
+            match std::fs::write(&path, summary) {
                 Ok(()) => println!("metrics summary written to {path}"),
                 Err(e) => eprintln!("could not write metrics summary {path}: {e}"),
             }

@@ -44,6 +44,7 @@
 #![deny(missing_docs)]
 
 pub mod align;
+pub mod health;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -163,11 +164,51 @@ impl TraceEvent {
     pub fn is_span(&self) -> bool {
         self.zxid_end != self.zxid || self.dur_us != 0
     }
+
+    /// True when this event belongs to `zxid`: a point event on it, or a
+    /// storage span whose inclusive range covers it (the append or fsync
+    /// the transaction rode in).
+    pub fn covers(&self, zxid: u64) -> bool {
+        if self.is_span() && self.zxid_end >= self.zxid {
+            self.zxid <= zxid && zxid <= self.zxid_end
+        } else {
+            self.zxid == zxid
+        }
+    }
 }
 
 /// Renders a packed zxid as the conventional `epoch:counter`.
 pub fn zxid_display(zxid: u64) -> String {
     format!("{}:{}", zxid >> 32, zxid & 0xffff_ffff)
+}
+
+/// Parses a zxid as packed decimal (`4294967299`) or `epoch:counter`
+/// (`1:3`); `None` when it is neither, or a part overflows 32 bits.
+pub fn parse_zxid(s: &str) -> Option<u64> {
+    match s.split_once(':') {
+        Some((e, c)) => {
+            Some((u64::from(e.parse::<u32>().ok()?) << 32) | u64::from(c.parse::<u32>().ok()?))
+        }
+        None => s.parse().ok(),
+    }
+}
+
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// One event slot, stored as seven relaxed atomics (a [`TraceEvent`]'s
@@ -1042,5 +1083,43 @@ mod tests {
     fn zxid_display_unpacks() {
         assert_eq!(zxid_display((4 << 32) | 17), "4:17");
         assert_eq!(zxid_display(0), "0:0");
+    }
+
+    #[test]
+    fn parse_zxid_accepts_both_forms() {
+        assert_eq!(parse_zxid("4294967299"), Some((1 << 32) | 3));
+        assert_eq!(parse_zxid("1:3"), Some((1 << 32) | 3));
+        assert_eq!(parse_zxid("0:0"), Some(0));
+        for bad in ["x", "1:x", "4:", "4294967296:1", "1:4294967296"] {
+            assert_eq!(parse_zxid(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn covers_matches_points_and_spans() {
+        let z = (1u64 << 32) | 5;
+        let event = |zxid, zxid_end, dur_us| TraceEvent {
+            ts_us: 1,
+            dur_us,
+            node: 1,
+            zxid,
+            zxid_end,
+            stage: Stage::LogAppend,
+            peer: 0,
+        };
+        assert!(event(z, z, 0).covers(z));
+        assert!(event((1 << 32) | 3, (1 << 32) | 7, 9).covers(z));
+        assert!(!event((1 << 32) | 6, (1 << 32) | 6, 0).covers(z));
+        assert!(!event((1 << 32) | 3, (1 << 32) | 7, 9).covers((9 << 32) | 1));
+        // A span whose end lies before its start (a raw event with no
+        // `zxid_end`) belongs to its start zxid only.
+        assert!(event(z, 0, 4).covers(z));
+        assert!(!event(z, 0, 4).covers(1));
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c\nd\te\u{1}"), "a\\\"b\\\\c\\nd\\u0009e\\u0001");
     }
 }
