@@ -1081,10 +1081,9 @@ impl Leader {
     }
 
     /// Per-follower replication lag against this leader's committed
-    /// frontier — the `/health` lag table and `core.follower_lag.<id>`
-    /// gauges read this at batch boundaries. One entry per connected peer
-    /// that is past epoch negotiation (active or catch-up syncing); O(#peers
-    /// + #unshipped chunks), never O(history).
+    /// frontier — the `/health` lag table, built on request. One entry per
+    /// connected peer that is past epoch negotiation (active or catch-up
+    /// syncing); O(#peers + #unshipped chunks), never O(history).
     pub fn follower_lags(&self) -> Vec<FollowerLag> {
         let committed = self.history.last_committed();
         self.peers

@@ -219,7 +219,8 @@ fn handle_conn(
                 if ask_health(reply) { answer.recv_timeout(HEALTH_DEADLINE).ok() } else { None };
             match health {
                 Some(health) => {
-                    respond(&mut stream, "200 OK", "application/json", &health.to_json());
+                    let body = health.to_json().to_string();
+                    respond(&mut stream, "200 OK", "application/json", &body);
                 }
                 None => respond(
                     &mut stream,
@@ -327,11 +328,8 @@ fn trace_json(recorder: &Recorder, query: &TraceQuery) -> String {
             events.drain(..events.len() - last);
         }
     }
-    if query.raw {
-        raw_trace_json(&events)
-    } else {
-        chrome_trace_json(&events)
-    }
+    let doc = if query.raw { raw_trace_json(&events) } else { chrome_trace_json(&events) };
+    doc.to_string()
 }
 
 #[cfg(test)]
@@ -388,7 +386,7 @@ mod tests {
         let (head, body) = get(server.addr(), "/health");
         assert!(head.starts_with("HTTP/1.0 200"), "head: {head}");
         assert!(head.contains("application/json"), "head: {head}");
-        assert_eq!(body, sample_health().to_json());
+        assert_eq!(body, sample_health().to_json().to_string());
     }
 
     #[test]

@@ -321,7 +321,6 @@ impl<A: Application> Replica<A> {
             faulted: false,
             clock,
             applied_since_compact: 0,
-            registry: Arc::clone(&metrics),
             core_metrics: CoreMetrics::registered(&metrics),
             node_metrics: node_metrics.clone(),
             election_started_ms: None,
@@ -330,7 +329,6 @@ impl<A: Application> Replica<A> {
             peers,
             submit_gate: Arc::clone(&submit_gate),
             delivery_hash: DeliveryHash::new(),
-            lag_gauges: BTreeMap::new(),
         };
         let clock_for_replica = Arc::clone(&loop_state.clock);
         let loop_thread = std::thread::spawn(move || loop_state.run(recovered));
@@ -486,7 +484,6 @@ struct EventLoop<A: Application> {
     /// correctly across election restarts and role changes.
     clock: Arc<dyn Clock>,
     applied_since_compact: u64,
-    registry: Arc<Registry>,
     core_metrics: CoreMetrics,
     node_metrics: NodeMetrics,
     /// When the current election round started (None while decided).
@@ -510,10 +507,6 @@ struct EventLoop<A: Application> {
     /// audit` compares across the ensemble. Lives here (not in the
     /// automaton) so it survives election churn within an epoch chain.
     delivery_hash: DeliveryHash,
-    /// Per-follower lag gauges (`core.follower_lag.<id>` /
-    /// `core.follower_acked.<id>`), cached so publishing skips the
-    /// registry's name lookup on every batch boundary.
-    lag_gauges: BTreeMap<u64, (Arc<zab_metrics::Gauge>, Arc<zab_metrics::Gauge>)>,
 }
 
 impl<A: Application> EventLoop<A> {
@@ -956,22 +949,6 @@ impl<A: Application> EventLoop<A> {
     }
 
     fn publish_role(&mut self) {
-        // Per-follower gauges. −1 encodes "unknown" (cross-epoch
-        // watermarks / snapshot-pending sync).
-        if let Some(zab) = self.process.as_ref().and_then(Process::zab) {
-            for l in zab.follower_lags() {
-                let (acked_g, lag_g) = self.lag_gauges.entry(l.peer.0).or_insert_with(|| {
-                    (
-                        self.registry
-                            .gauge(&zab_metrics::peer_metric("core.follower_acked", l.peer.0)),
-                        self.registry
-                            .gauge(&zab_metrics::peer_metric("core.follower_lag", l.peer.0)),
-                    )
-                });
-                acked_g.set(l.acked.map_or(-1, |z| z.0 as i64));
-                lag_g.set(l.lag_txns.map_or(-1, |n| n as i64));
-            }
-        }
         let role = self.current_role();
         let is_primary = matches!(role, Role::Leading { established: true, .. });
         if is_primary != self.was_primary {

@@ -156,7 +156,7 @@ fn causal_chain_spans_the_ensemble_and_the_admin_endpoint_serves_it() {
     // The exporters digest the same run: stage deltas exist for the
     // chain, and the Chrome JSON is non-trivial and well-formed.
     assert!(stage_deltas(&merged).iter().any(|d| d.zxid == zxid));
-    let chrome = chrome_trace_json(&merged);
+    let chrome = chrome_trace_json(&merged).to_string();
     assert!(chrome.starts_with("{\"traceEvents\":["), "chrome head: {chrome:.40}");
     assert!(chrome.ends_with("]}"), "chrome tail");
     assert!(chrome.contains("\"submit\"") && chrome.contains("\"deliver\""));

@@ -103,7 +103,8 @@ fn main() {
 
     let trace_path = std::env::var("TRACE_OUT").unwrap_or_else(|_| "trace-sample.json".to_string());
     let merged = merge(replicas.values().map(Replica::trace_events).collect());
-    std::fs::write(&trace_path, chrome_trace_json(&merged)).expect("write trace sample");
+    std::fs::write(&trace_path, chrome_trace_json(&merged).to_string())
+        .expect("write trace sample");
     println!("trace sample ({} events) written to {trace_path}", merged.len());
 
     for (&id, r) in &replicas {

@@ -23,7 +23,8 @@
 use crate::scrape::EnsembleSnapshot;
 use std::collections::BTreeMap;
 use zab_trace::health::Health;
-use zab_trace::{json_escape, zxid_display};
+use zab_trace::json::Json;
+use zab_trace::zxid_display;
 
 /// One invariant violation found during an audit round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,18 +49,15 @@ impl std::fmt::Display for Violation {
 /// Renders one audit round as a single-line JSON object: `{"round",
 /// "nodes", "violations": [{"kind", "node", "detail"}]}`.
 pub fn render_round_json(round: u64, nodes: usize, violations: &[Violation]) -> String {
-    let rows: Vec<String> = violations
-        .iter()
-        .map(|v| {
-            format!(
-                "{{\"kind\":\"{}\",\"node\":{},\"detail\":\"{}\"}}",
-                v.kind,
-                v.node,
-                json_escape(&v.detail)
-            )
-        })
-        .collect();
-    format!("{{\"round\":{round},\"nodes\":{nodes},\"violations\":[{}]}}", rows.join(","))
+    let rows = violations.iter().map(|v| {
+        Json::obj([
+            ("kind", v.kind.into()),
+            ("node", v.node.into()),
+            ("detail", v.detail.clone().into()),
+        ])
+    });
+    Json::obj([("round", round.into()), ("nodes", nodes.into()), ("violations", rows.collect())])
+        .to_string()
 }
 
 /// Cross-round watchdog state (per-node epoch high-water marks).
@@ -326,18 +324,32 @@ mod tests {
     }
 
     #[test]
+    fn round_json_renders_the_golden_line() {
+        let v = [
+            Violation { kind: "unreachable", node: 0, detail: "127.0.0.1:9: connect".to_string() },
+            Violation { kind: "double-leader", node: 2, detail: "epoch 3".to_string() },
+        ];
+        assert_eq!(
+            render_round_json(7, 3, &v),
+            concat!(
+                r#"{"round":7,"nodes":3,"violations":["#,
+                r#"{"kind":"unreachable","node":0,"detail":"127.0.0.1:9: connect"},"#,
+                r#"{"kind":"double-leader","node":2,"detail":"epoch 3"}]}"#
+            )
+        );
+        assert_eq!(render_round_json(0, 0, &[]), r#"{"round":0,"nodes":0,"violations":[]}"#);
+    }
+
+    #[test]
     fn round_json_escapes_control_characters_in_details() {
         let mut s = snap(vec![node(1, "leading", 1, Z(1, 1))]);
         s.errors.push(("127.0.0.1:\x01".to_string(), "bad\taddress \"x\"\n".to_string()));
         let v = AuditState::new().check_round(&s, true);
         let line = render_round_json(4, s.nodes.len(), &v);
-        let parsed = crate::json::Json::parse(&line).expect("audit line is valid JSON");
+        let parsed = Json::parse(&line).expect("audit line is valid JSON");
         let detail = parsed.get("violations").and_then(|v| v.idx(0)).and_then(|v| v.get("detail"));
-        assert_eq!(
-            detail.and_then(crate::json::Json::as_str),
-            Some("127.0.0.1:\x01: bad\taddress \"x\"\n")
-        );
-        assert_eq!(parsed.get("round").and_then(crate::json::Json::as_u64), Some(4));
+        assert_eq!(detail.and_then(Json::as_str), Some("127.0.0.1:\x01: bad\taddress \"x\"\n"));
+        assert_eq!(parsed.get("round").and_then(Json::as_u64), Some(4));
         assert!(!line.contains('\n') && !line.contains('\t'), "{line:?}");
     }
 }

@@ -12,23 +12,6 @@ use std::time::Duration;
 /// large ring can run to a few MB; beyond this something is wrong).
 const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
 
-/// A scrape failure, tagged with the address it happened against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpError {
-    /// The node address the request targeted.
-    pub addr: String,
-    /// What went wrong, human-readable.
-    pub msg: String,
-}
-
-impl std::fmt::Display for HttpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.addr, self.msg)
-    }
-}
-
-impl std::error::Error for HttpError {}
-
 /// A parsed response: status code plus the full body.
 #[derive(Debug)]
 pub struct Response {
@@ -38,20 +21,17 @@ pub struct Response {
     pub body: String,
 }
 
-fn fail(addr: &str, msg: impl Into<String>) -> HttpError {
-    HttpError { addr: addr.to_string(), msg: msg.into() }
-}
-
 /// Issues `GET path` against `addr` ("host:port") and returns the parsed
 /// response. `timeout` bounds the connect and each read individually.
-pub fn get(addr: &str, path: &str, timeout: Duration) -> Result<Response, HttpError> {
-    let sock: SocketAddr = addr.parse().map_err(|e| fail(addr, format!("bad address: {e}")))?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)
-        .map_err(|e| fail(addr, format!("connect: {e}")))?;
-    stream.set_read_timeout(Some(timeout)).map_err(|e| fail(addr, format!("set timeout: {e}")))?;
-    stream.set_write_timeout(Some(timeout)).map_err(|e| fail(addr, format!("set timeout: {e}")))?;
+/// Errors do not repeat `addr`: the caller names it.
+pub fn get(addr: &str, path: &str, timeout: Duration) -> Result<Response, String> {
+    let sock: SocketAddr = addr.parse().map_err(|e| format!("bad address: {e}"))?;
+    let mut stream =
+        TcpStream::connect_timeout(&sock, timeout).map_err(|e| format!("connect: {e}"))?;
+    stream.set_read_timeout(Some(timeout)).map_err(|e| format!("set timeout: {e}"))?;
+    stream.set_write_timeout(Some(timeout)).map_err(|e| format!("set timeout: {e}"))?;
     let req = format!("GET {path} HTTP/1.0\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes()).map_err(|e| fail(addr, format!("write: {e}")))?;
+    stream.write_all(req.as_bytes()).map_err(|e| format!("write: {e}"))?;
 
     let mut raw = Vec::new();
     let mut buf = [0u8; 16 * 1024];
@@ -61,30 +41,30 @@ pub fn get(addr: &str, path: &str, timeout: Duration) -> Result<Response, HttpEr
             Ok(n) => {
                 raw.extend_from_slice(&buf[..n]);
                 if raw.len() > MAX_RESPONSE_BYTES {
-                    return Err(fail(addr, "response too large"));
+                    return Err("response too large".to_string());
                 }
             }
-            Err(e) => return Err(fail(addr, format!("read: {e}"))),
+            Err(e) => return Err(format!("read: {e}")),
         }
     }
-    parse_response(addr, &raw)
+    parse_response(&raw)
 }
 
-fn parse_response(addr: &str, raw: &[u8]) -> Result<Response, HttpError> {
-    let text = std::str::from_utf8(raw).map_err(|_| fail(addr, "non-utf8 response"))?;
+fn parse_response(raw: &[u8]) -> Result<Response, String> {
+    let text = std::str::from_utf8(raw).map_err(|_| "non-utf8 response".to_string())?;
     let (head, body) = text
         .split_once("\r\n\r\n")
-        .ok_or_else(|| fail(addr, "truncated response (no header terminator)"))?;
+        .ok_or_else(|| "truncated response (no header terminator)".to_string())?;
     let status_line = head.lines().next().unwrap_or("");
     let mut parts = status_line.split_whitespace();
     let proto = parts.next().unwrap_or("");
     if !proto.starts_with("HTTP/") {
-        return Err(fail(addr, format!("not an HTTP response: {status_line:?}")));
+        return Err(format!("not an HTTP response: {status_line:?}"));
     }
     let status: u16 = parts
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| fail(addr, format!("bad status line: {status_line:?}")))?;
+        .ok_or_else(|| format!("bad status line: {status_line:?}"))?;
     Ok(Response { status, body: body.to_string() })
 }
 
@@ -114,11 +94,11 @@ mod tests {
     }
 
     #[test]
-    fn reports_connect_failure_with_address() {
+    fn reports_connect_failure_without_the_address() {
         // Port 1 on loopback: nothing listens there.
         let err = get("127.0.0.1:1", "/health", Duration::from_millis(300)).unwrap_err();
-        assert_eq!(err.addr, "127.0.0.1:1");
-        assert!(err.msg.contains("connect"), "msg was {:?}", err.msg);
+        assert!(err.starts_with("connect: "), "err was {err:?}");
+        assert!(!err.contains("127.0.0.1"), "err was {err:?}");
     }
 
     #[test]
@@ -132,6 +112,6 @@ mod tests {
             let _ = conn.write_all(b"SMTP ready\r\n\r\n");
         });
         let err = get(&addr, "/", Duration::from_secs(2)).unwrap_err();
-        assert!(err.msg.contains("not an HTTP response"), "msg was {:?}", err.msg);
+        assert!(err.contains("not an HTTP response"), "err was {err:?}");
     }
 }

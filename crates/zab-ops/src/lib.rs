@@ -6,9 +6,10 @@
 //! something about the *ensemble*:
 //!
 //! - [`scrape`] pulls `/health` and raw traces from an address list,
-//!   tolerating partial answers; [`model`] parses them back into the
-//!   types the node rendered them from ([`zab_trace::health::Health`],
-//!   [`zab_trace::TraceEvent`]).
+//!   tolerating partial answers, and parses them back into the types the
+//!   node rendered them from ([`zab_trace::health::Health`],
+//!   [`zab_trace::TraceEvent`]) with the readers beside their writers
+//!   ([`zab_trace::health::parse_health`], [`zab_trace::parse_raw_trace`]).
 //! - [`zab_trace::align`] (consumed here) estimates per-node clock
 //!   offsets from causal wire edges and stitches per-node flight-recorder
 //!   rings into one cross-node timeline; [`status`] renders the timeline
@@ -28,8 +29,6 @@
 
 pub mod audit;
 pub mod http;
-pub mod json;
-pub mod model;
 pub mod scrape;
 pub mod status;
 

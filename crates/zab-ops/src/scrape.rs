@@ -3,13 +3,14 @@
 //! A partial ensemble is still useful — a scrape returns whatever nodes
 //! answered plus the per-node errors, and callers decide how much they
 //! need (status renders what it got; the auditor flags unreachable nodes
-//! but still checks the reachable ones).
+//! but still checks the reachable ones). An error names what failed,
+//! not the address: it travels beside its address, and whoever prints
+//! the pair names the address once.
 
 use crate::http;
-use crate::model::{parse_health, parse_raw_trace};
 use std::time::Duration;
-use zab_trace::health::Health;
-use zab_trace::TraceEvent;
+use zab_trace::health::{parse_health, Health};
+use zab_trace::{parse_raw_trace, TraceEvent};
 
 /// Default per-request timeout.
 pub const SCRAPE_TIMEOUT: Duration = Duration::from_secs(3);
@@ -20,7 +21,8 @@ pub struct EnsembleSnapshot {
     /// Nodes that answered `/health`, as `(addr, document)`, in the
     /// order scraped.
     pub nodes: Vec<(String, Health)>,
-    /// Nodes that did not, as `(addr, error)`.
+    /// Nodes that did not, as `(addr, error)`; the error does not repeat
+    /// the address.
     pub errors: Vec<(String, String)>,
 }
 
@@ -33,11 +35,11 @@ impl EnsembleSnapshot {
 
 /// Scrapes `/health` from one node.
 pub fn health(addr: &str, timeout: Duration) -> Result<Health, String> {
-    let resp = http::get(addr, "/health", timeout).map_err(|e| e.to_string())?;
+    let resp = http::get(addr, "/health", timeout)?;
     if resp.status != 200 {
-        return Err(format!("{addr}: /health returned {}", resp.status));
+        return Err(format!("/health returned {}", resp.status));
     }
-    parse_health(addr, &resp.body)
+    parse_health(&resp.body).map_err(|e| format!("/health: {e}"))
 }
 
 /// Scrapes `/health` from every address. For leader-relative invariants
@@ -71,18 +73,62 @@ pub fn traces(addrs: &[String], timeout: Duration) -> (Vec<TraceEvent>, Vec<(Str
     let mut events = Vec::new();
     let mut errors = Vec::new();
     for addr in addrs {
-        let result = http::get(addr, "/trace?format=raw", timeout)
-            .map_err(|e| e.to_string())
-            .and_then(|resp| {
-                if resp.status != 200 {
-                    return Err(format!("{addr}: /trace returned {}", resp.status));
-                }
-                parse_raw_trace(addr, &resp.body)
-            });
+        let result = http::get(addr, "/trace?format=raw", timeout).and_then(|resp| {
+            if resp.status != 200 {
+                return Err(format!("/trace returned {}", resp.status));
+            }
+            parse_raw_trace(&resp.body).map_err(|e| format!("/trace: {e}"))
+        });
         match result {
             Ok(mut ev) => events.append(&mut ev),
             Err(e) => errors.push((addr.clone(), e)),
         }
     }
     (events, errors)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::audit::AuditState;
+    use crate::status::{render_status_json, render_status_text};
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+
+    #[test]
+    fn each_report_names_a_failed_address_once() {
+        let mut servers = Vec::new();
+        // An address whose one connection is answered with `response`.
+        let mut serve_once = |response: &'static str| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr").to_string();
+            servers.push(std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().expect("accept");
+                let _ = conn.read(&mut [0u8; 1024]);
+                conn.write_all(response.as_bytes()).expect("respond");
+            }));
+            addr
+        };
+        let refused = {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr").to_string()
+        };
+        let addrs = [
+            "127.0.0.1:99999".to_string(),
+            refused,
+            serve_once("HTTP/1.0 500 Internal Server Error\r\n\r\n"),
+            serve_once("HTTP/1.0 200 OK\r\n\r\n{\"node\":"),
+        ];
+        for addr in addrs {
+            let snap = ensemble(std::slice::from_ref(&addr), Duration::from_secs(2));
+            assert_eq!(snap.errors.len(), 1, "{addr}: {snap:?}");
+            let detail = AuditState::new().check_round(&snap, true).remove(0).detail;
+            for report in [render_status_text(&snap), render_status_json(&snap), detail] {
+                assert_eq!(report.matches(addr.as_str()).count(), 1, "{report}");
+            }
+        }
+        for server in servers {
+            server.join().expect("server thread");
+        }
+    }
 }

@@ -6,7 +6,8 @@
 use crate::scrape::EnsembleSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use zab_trace::{json_escape, zxid_display, TraceEvent};
+use zab_trace::json::Json;
+use zab_trace::{zxid_display, TraceEvent};
 
 /// Renders the ensemble summary as a human-readable table.
 pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
@@ -68,45 +69,32 @@ pub fn render_status_text(snap: &EnsembleSnapshot) -> String {
 /// `last_committed_zxid` is the leader's watermark (0 with no leader) so
 /// scripts can grab a commit to trace without digging into the node list.
 pub fn render_status_json(snap: &EnsembleSnapshot) -> String {
-    let mut out = String::new();
-    match snap.leader() {
-        Some(l) => {
-            let _ = write!(
-                out,
-                "{{\"leader\":{},\"epoch\":{},\"last_committed_zxid\":{},\
-                 \"last_committed\":\"{}\"",
-                l.node,
-                l.epoch,
-                l.last_committed_zxid,
-                zxid_display(l.last_committed_zxid)
-            );
+    let mut doc = match snap.leader() {
+        Some(l) => vec![
+            ("leader", l.node.into()),
+            ("epoch", l.epoch.into()),
+            ("last_committed_zxid", l.last_committed_zxid.into()),
+            ("last_committed", zxid_display(l.last_committed_zxid).into()),
+        ],
+        None => vec![
+            ("leader", Json::Null),
+            ("epoch", Json::Null),
+            ("last_committed_zxid", 0u64.into()),
+        ],
+    };
+    let nodes = snap.nodes.iter().map(|(addr, n)| {
+        let mut node = n.to_json();
+        if let Json::Obj(members) = &mut node {
+            members.insert(0, ("addr".into(), addr.clone().into()));
         }
-        None => out.push_str("{\"leader\":null,\"epoch\":null,\"last_committed_zxid\":0"),
-    }
-    out.push_str(",\"nodes\":[");
-    for (i, (addr, n)) in snap.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // The document is one object: open it with `addr`, then its own
-        // members after the leading `{`.
-        let doc = n.to_json();
-        let _ = write!(out, "{{\"addr\":\"{}\",{}", json_escape(addr), &doc[1..]);
-    }
-    out.push_str("],\"errors\":[");
-    for (i, (addr, err)) in snap.errors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"addr\":\"{}\",\"error\":\"{}\"}}",
-            json_escape(addr),
-            json_escape(err)
-        );
-    }
-    out.push_str("]}");
-    out
+        node
+    });
+    let errors = snap.errors.iter().map(|(addr, err)| {
+        Json::obj([("addr", addr.clone().into()), ("error", err.clone().into())])
+    });
+    doc.push(("nodes", nodes.collect()));
+    doc.push(("errors", errors.collect()));
+    Json::obj(doc).to_string()
 }
 
 /// Renders a stitched cross-node timeline for one zxid. `events` must
@@ -156,17 +144,14 @@ pub fn render_timeline_json(
     events: &[TraceEvent],
     offsets: &BTreeMap<u64, i64>,
 ) -> String {
-    let mut out = String::new();
-    let _ =
-        write!(out, "{{\"zxid\":{zxid},\"zxid_display\":\"{}\",\"offsets\":{{", zxid_display(zxid));
-    for (i, (n, o)) in offsets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{n}\":{o}");
-    }
-    let _ = write!(out, "}},\"events\":{}}}", zab_trace::raw_trace_json(events));
-    out
+    let offsets = offsets.iter().map(|(n, o)| (n.to_string(), Json::from(*o)));
+    Json::obj([
+        ("zxid", zxid.into()),
+        ("zxid_display", zxid_display(zxid).into()),
+        ("offsets", Json::obj(offsets)),
+        ("events", zab_trace::raw_trace_json(events)),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -206,26 +191,79 @@ mod tests {
     fn status_json_exposes_leader_watermark_and_lag() {
         let snap = leader_with_lag();
         let json = render_status_json(&snap);
-        let parsed = crate::json::Json::parse(&json).expect("valid json");
-        assert_eq!(parsed.get("leader").and_then(crate::json::Json::as_u64), Some(1));
-        assert_eq!(
-            parsed.get("last_committed_zxid").and_then(crate::json::Json::as_u64),
-            Some((1 << 32) | 9)
-        );
+        let parsed = Json::parse(&json).expect("valid json");
+        assert_eq!(parsed.get("leader").and_then(Json::as_u64), Some(1));
+        assert_eq!(parsed.get("last_committed_zxid").and_then(Json::as_u64), Some((1 << 32) | 9));
         let lag = parsed.get("nodes").and_then(|n| n.idx(0)).and_then(|n| n.get("lag"));
         assert_eq!(
-            lag.and_then(|l| l.idx(1))
-                .and_then(|r| r.get("lag_txns"))
-                .and_then(crate::json::Json::as_u64),
+            lag.and_then(|l| l.idx(1)).and_then(|r| r.get("lag_txns")).and_then(Json::as_u64),
             Some(4)
         );
         assert_eq!(parsed.get("errors").map(|e| e.items().len()), Some(1));
         // Each node is its whole /health document plus where it came from.
         let node = parsed.get("nodes").and_then(|n| n.idx(0)).expect("node");
-        assert_eq!(node.get("addr").and_then(crate::json::Json::as_str), Some("127.0.0.1:7461"));
-        assert_eq!(node.get("last_committed").and_then(crate::json::Json::as_str), Some("1:9"));
+        assert_eq!(node.get("addr").and_then(Json::as_str), Some("127.0.0.1:7461"));
+        assert_eq!(node.get("last_committed").and_then(Json::as_str), Some("1:9"));
         assert!(node.get("peers").and_then(|p| p.get("2")).is_some(), "{json}");
         assert!(node.get("syncing").is_some_and(|s| s.items().is_empty()), "{json}");
+    }
+
+    #[test]
+    fn status_json_renders_the_golden_documents() {
+        assert_eq!(
+            render_status_json(&leader_with_lag()),
+            concat!(
+                r#"{"leader":1,"epoch":1,"last_committed_zxid":4294967305,"last_committed":"1:9","#,
+                r#""nodes":[{"addr":"127.0.0.1:7461","node":1,"role":"leading","active":true,"#,
+                r#""epoch":1,"leader":1,"last_committed":"1:9","last_committed_zxid":4294967305,"#,
+                r#""peers":{"2":{"reachable":true,"failed_attempts":0}},"syncing":[],"#,
+                r#""lag":[{"peer":2,"acked_zxid":4294967305,"acked":"1:9","lag_txns":0,"#,
+                r#""syncing":false},{"peer":3,"acked_zxid":null,"acked":null,"lag_txns":4,"#,
+                r#""syncing":true}],"delivery":{"anchor_zxid":0,"last_zxid":0,"#,
+                r#""hash":"0000000000000000","checkpoints":[]},"#,
+                r#""commit_latency_ms":{"count":5,"p50":2,"p99":8,"max":9}}],"#,
+                r#""errors":[{"addr":"127.0.0.1:7463","error":"connect: refused"}]}"#
+            )
+        );
+        let looking = Health { node: 2, role: "looking".to_string(), ..Health::default() };
+        let no_leader = EnsembleSnapshot {
+            nodes: vec![("127.0.0.1:7462".to_string(), looking)],
+            errors: Vec::new(),
+        };
+        assert_eq!(
+            render_status_json(&no_leader),
+            concat!(
+                r#"{"leader":null,"epoch":null,"last_committed_zxid":0,"#,
+                r#""nodes":[{"addr":"127.0.0.1:7462","node":2,"role":"looking","active":false,"#,
+                r#""epoch":0,"leader":null,"last_committed":"0:0","last_committed_zxid":0,"#,
+                r#""peers":{},"syncing":[],"lag":[],"delivery":{"anchor_zxid":0,"last_zxid":0,"#,
+                r#""hash":"0000000000000000","checkpoints":[]},"#,
+                r#""commit_latency_ms":{"count":0,"p50":0,"p99":0,"max":0}}],"errors":[]}"#
+            )
+        );
+    }
+
+    #[test]
+    fn timeline_json_renders_the_golden_document() {
+        let z = (1u64 << 32) | 5;
+        let events = [TraceEvent {
+            ts_us: 100,
+            dur_us: 0,
+            node: 1,
+            zxid: z,
+            zxid_end: z,
+            stage: Stage::WireOut,
+            peer: 2,
+        }];
+        let offsets: BTreeMap<u64, i64> = [(1, 0i64), (2, -1000i64)].into_iter().collect();
+        assert_eq!(
+            render_timeline_json(z, &events, &offsets),
+            concat!(
+                r#"{"zxid":4294967301,"zxid_display":"1:5","offsets":{"1":0,"2":-1000},"#,
+                r#""events":[{"ts_us":100,"dur_us":0,"node":1,"zxid":4294967301,"#,
+                r#""zxid_end":4294967301,"stage":"wire-out","peer":2}]}"#
+            )
+        );
     }
 
     #[test]
@@ -264,11 +302,8 @@ mod tests {
         assert!(text.contains("2:-1000us"), "text:\n{text}");
         assert!(text.contains("wire-out"), "text:\n{text}");
         let json = render_timeline_json(z, &events, &offsets);
-        let parsed = crate::json::Json::parse(&json).expect("valid json");
-        assert_eq!(
-            parsed.get("offsets").and_then(|o| o.get("2")).and_then(crate::json::Json::as_f64),
-            Some(-1000.0)
-        );
+        let parsed = Json::parse(&json).expect("valid json");
+        assert_eq!(parsed.get("offsets").and_then(|o| o.get("2")), Some(&Json::from(-1000i64)));
         assert_eq!(parsed.get("events").map(|e| e.items().len()), Some(2));
     }
 }

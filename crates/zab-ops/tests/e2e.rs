@@ -9,7 +9,8 @@ use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 use zab_core::ServerId;
 use zab_node::{apps::BytesApp, NodeConfig, Replica, Role};
-use zab_ops::{audit::AuditState, json::Json, scrape, status};
+use zab_ops::{audit::AuditState, scrape, status};
+use zab_trace::json::Json;
 use zab_trace::Stage;
 
 fn address_book(n: u64) -> BTreeMap<ServerId, SocketAddr> {

@@ -18,6 +18,7 @@
 //! panic.
 
 use zab_simnet::chaos::{self, ChaosConfig, ChaosReport};
+use zab_trace::json::Json;
 
 fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}");
@@ -72,16 +73,19 @@ fn main() {
                  {msgs} msgs delivered ({dropped} dropped), {elections} elections, \
                  {faults} injected storage fail-stops",
             );
-            // The same totals as a small flat JSON object (every value is
-            // a plain integer or float — no escaping needed).
-            let summary = format!(
-                "{{\"runs\":{runs},\"ops_completed\":{ops},\"messages_delivered\":{msgs},\
-                 \"messages_dropped\":{dropped},\"elections_started\":{elections},\
-                 \"storage_faults\":{faults},\"virtual_seconds\":{virt_s:.3}}}"
-            );
+            // The same totals as a small flat JSON object.
+            let summary = Json::obj([
+                ("runs", runs.into()),
+                ("ops_completed", ops.into()),
+                ("messages_delivered", msgs.into()),
+                ("messages_dropped", dropped.into()),
+                ("elections_started", elections.into()),
+                ("storage_faults", faults.into()),
+                ("virtual_seconds", Json::fixed(virt_s, 3)),
+            ]);
             let path =
                 std::env::var("CHAOS_METRICS").unwrap_or_else(|_| "chaos-metrics.json".to_string());
-            match std::fs::write(&path, summary) {
+            match std::fs::write(&path, summary.to_string()) {
                 Ok(()) => println!("metrics summary written to {path}"),
                 Err(e) => eprintln!("could not write metrics summary {path}: {e}"),
             }
@@ -101,7 +105,8 @@ fn main() {
             let dir = std::path::Path::new(&path).parent().unwrap_or(std::path::Path::new("."));
             for (node, events) in &failure.traces {
                 let trace_path = dir.join(format!("chaos-trace-n{node}.json"));
-                match std::fs::write(&trace_path, zab_trace::chrome_trace_json(events)) {
+                match std::fs::write(&trace_path, zab_trace::chrome_trace_json(events).to_string())
+                {
                     Ok(()) => eprintln!(
                         "flight recorder ({} events) written to {}",
                         events.len(),

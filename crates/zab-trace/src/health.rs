@@ -1,14 +1,15 @@
 //! The `/health` document (DESIGN.md §9.2), defined once: the node's
 //! admin endpoint renders it with [`Health::to_json`], and `zab-ops`
-//! parses a scraped body back into the same [`Health`].
+//! parses a scraped body back into the same [`Health`] with
+//! [`parse_health`].
 //!
 //! Zxids travel as packed JSON integers; hashes as fixed-width hex
-//! strings, because a u64 does not survive a round-trip through JSON
-//! doubles.
+//! strings, so readers that hold numbers as doubles can still compare
+//! them.
 
-use crate::{json_escape, zxid_display};
+use crate::json::Json;
+use crate::zxid_display;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One replica's `/health` document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -106,90 +107,244 @@ impl Health {
         self.role == "leading" && self.active
     }
 
-    /// Renders the document as one JSON object, keys in a fixed order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"node\":{},\"role\":\"{}\",\"active\":{},\"epoch\":{},\"leader\":{},\
-             \"last_committed\":\"{}\",\"last_committed_zxid\":{},\"peers\":{{",
-            self.node,
-            json_escape(&self.role),
-            self.active,
-            self.epoch,
-            or_null(self.leader),
-            zxid_display(self.last_committed_zxid),
-            self.last_committed_zxid
-        );
-        comma_separated(&mut out, &self.peers, |out, (id, p)| {
-            let _ = write!(
-                out,
-                "\"{id}\":{{\"reachable\":{},\"failed_attempts\":{}}}",
-                p.reachable, p.failed_attempts
-            );
+    /// The document as one JSON object, keys in a fixed order.
+    pub fn to_json(&self) -> Json {
+        let peers = self.peers.iter().map(|(id, p)| {
+            let row =
+                [("reachable", p.reachable.into()), ("failed_attempts", p.failed_attempts.into())];
+            (id.to_string(), Json::obj(row))
         });
-        out.push_str("},\"syncing\":[");
-        comma_separated(&mut out, &self.syncing, |out, s| {
-            let _ = write!(
-                out,
-                "{{\"peer\":{},\"chunks_remaining\":{},\"bytes_remaining\":{}}}",
-                s.peer, s.chunks_remaining, s.bytes_remaining
-            );
+        let syncing = self.syncing.iter().map(|s| {
+            Json::obj([
+                ("peer", s.peer.into()),
+                ("chunks_remaining", s.chunks_remaining.into()),
+                ("bytes_remaining", s.bytes_remaining.into()),
+            ])
         });
-        out.push_str("],\"lag\":[");
-        comma_separated(&mut out, &self.lag, |out, l| {
-            let acked = l.acked_zxid.map(|z| format!("\"{}\"", zxid_display(z)));
-            let _ = write!(
-                out,
-                "{{\"peer\":{},\"acked_zxid\":{},\"acked\":{},\"lag_txns\":{},\"syncing\":{}}}",
-                l.peer,
-                or_null(l.acked_zxid),
-                or_null(acked),
-                or_null(l.lag_txns),
-                l.syncing
-            );
+        let lag = self.lag.iter().map(|l| {
+            Json::obj([
+                ("peer", l.peer.into()),
+                ("acked_zxid", l.acked_zxid.into()),
+                ("acked", l.acked_zxid.map(zxid_display).into()),
+                ("lag_txns", l.lag_txns.into()),
+                ("syncing", l.syncing.into()),
+            ])
         });
         let d = &self.delivery;
-        let _ = write!(
-            out,
-            "],\"delivery\":{{\"anchor_zxid\":{},\"last_zxid\":{},\"hash\":\"{:016x}\",\
-             \"checkpoints\":[",
-            d.anchor_zxid, d.last_zxid, d.hash
-        );
-        comma_separated(&mut out, &d.checkpoints, |out, (z, h)| {
-            let _ = write!(out, "[{z},\"{h:016x}\"]");
-        });
+        let checkpoints = d.checkpoints.iter().map(|&(z, h)| Json::Arr(vec![z.into(), hex(h)]));
         let lat = &self.commit_latency_ms;
-        let _ = write!(
-            out,
-            "]}},\"commit_latency_ms\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}}}",
-            lat.count, lat.p50, lat.p99, lat.max
+        Json::obj([
+            ("node", self.node.into()),
+            ("role", self.role.clone().into()),
+            ("active", self.active.into()),
+            ("epoch", self.epoch.into()),
+            ("leader", self.leader.into()),
+            ("last_committed", zxid_display(self.last_committed_zxid).into()),
+            ("last_committed_zxid", self.last_committed_zxid.into()),
+            ("peers", Json::obj(peers)),
+            ("syncing", syncing.collect()),
+            ("lag", lag.collect()),
+            (
+                "delivery",
+                Json::obj([
+                    ("anchor_zxid", d.anchor_zxid.into()),
+                    ("last_zxid", d.last_zxid.into()),
+                    ("hash", hex(d.hash)),
+                    ("checkpoints", checkpoints.collect()),
+                ]),
+            ),
+            (
+                "commit_latency_ms",
+                Json::obj([
+                    ("count", lat.count.into()),
+                    ("p50", lat.p50.into()),
+                    ("p99", lat.p99.into()),
+                    ("max", lat.max.into()),
+                ]),
+            ),
+        ])
+    }
+}
+
+/// A hash as its fixed-width hex string.
+fn hex(h: u64) -> Json {
+    format!("{h:016x}").into()
+}
+
+fn parse_hex(j: &Json) -> Option<u64> {
+    u64::from_str_radix(j.as_str()?, 16).ok()
+}
+
+/// Parses a `/health` body (see [`Health::to_json`]). Every field is
+/// required except the `Option`s, which read `null` (or absence) as
+/// `None`.
+pub fn parse_health(body: &str) -> Result<Health, String> {
+    let j = Json::parse(body).map_err(|e| e.to_string())?;
+    let opt_u64 = |j: &Json, key| j.get(key).and_then(Json::as_u64);
+    let mut peers = BTreeMap::new();
+    for (id, p) in j.field("peers", Json::members)? {
+        let id = id.parse().map_err(|_| format!("peer id {id:?}"))?;
+        let failed_attempts = p.field("failed_attempts", Json::as_u64)?;
+        peers.insert(
+            id,
+            PeerHealth {
+                reachable: p.field("reachable", Json::as_bool)?,
+                failed_attempts: u32::try_from(failed_attempts)
+                    .map_err(|_| format!("failed_attempts {failed_attempts}"))?,
+            },
         );
-        out
     }
-}
-
-/// `v` as JSON, `null` when absent.
-fn or_null(v: Option<impl std::fmt::Display>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
-fn comma_separated<T>(
-    out: &mut String,
-    items: impl IntoIterator<Item = T>,
-    mut each: impl FnMut(&mut String, T),
-) {
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        each(out, item);
-    }
+    let syncing = j
+        .field("syncing", Some)?
+        .items()
+        .iter()
+        .map(|s| {
+            Ok(SyncingPeer {
+                peer: s.field("peer", Json::as_u64)?,
+                chunks_remaining: s.field("chunks_remaining", Json::as_u64)?,
+                bytes_remaining: s.field("bytes_remaining", Json::as_u64)?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let lag = j
+        .field("lag", Some)?
+        .items()
+        .iter()
+        .map(|l| {
+            Ok(LagRow {
+                peer: l.field("peer", Json::as_u64)?,
+                acked_zxid: opt_u64(l, "acked_zxid"),
+                lag_txns: opt_u64(l, "lag_txns"),
+                syncing: l.field("syncing", Json::as_bool)?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let delivery = j.field("delivery", Some)?;
+    let checkpoints = delivery
+        .field("checkpoints", Some)?
+        .items()
+        .iter()
+        .map(|cp| {
+            let z = cp.idx(0).and_then(Json::as_u64);
+            z.zip(cp.idx(1).and_then(parse_hex)).ok_or_else(|| format!("checkpoint {cp}"))
+        })
+        .collect::<Result<_, String>>()?;
+    let lat = j.field("commit_latency_ms", Some)?;
+    Ok(Health {
+        node: j.field("node", Json::as_u64)?,
+        role: j.field("role", Json::as_str)?.to_string(),
+        active: j.field("active", Json::as_bool)?,
+        epoch: j.field("epoch", Json::as_u64)?,
+        leader: opt_u64(&j, "leader"),
+        last_committed_zxid: j.field("last_committed_zxid", Json::as_u64)?,
+        peers,
+        syncing,
+        lag,
+        delivery: DeliveryWitness {
+            anchor_zxid: delivery.field("anchor_zxid", Json::as_u64)?,
+            last_zxid: delivery.field("last_zxid", Json::as_u64)?,
+            hash: delivery.field("hash", parse_hex)?,
+            checkpoints,
+        },
+        commit_latency_ms: LatencySummary {
+            count: lat.field("count", Json::as_u64)?,
+            p50: lat.field("p50", Json::as_u64)?,
+            p99: lat.field("p99", Json::as_u64)?,
+            max: lat.field("max", Json::as_u64)?,
+        },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // A /health body as a node serves it.
+    const HEALTH: &str = concat!(
+        r#"{"node":1,"role":"leading","active":true,"epoch":1,"leader":1,"#,
+        r#""last_committed":"1:3","last_committed_zxid":4294967299,"#,
+        r#""peers":{"2":{"reachable":true,"failed_attempts":0},"3":{"reachable":false,"failed_attempts":4}},"#,
+        r#""syncing":[],"#,
+        r#""lag":[{"peer":2,"acked_zxid":4294967299,"acked":"1:3","lag_txns":0,"syncing":false},"#,
+        r#"{"peer":3,"acked_zxid":null,"acked":null,"lag_txns":null,"syncing":true}],"#,
+        r#""delivery":{"anchor_zxid":4294967297,"last_zxid":4294967299,"hash":"00000000deadbeef","#,
+        r#""checkpoints":[[4294967360,"0000000000000abc"]]},"#,
+        r#""commit_latency_ms":{"count":7,"p50":2,"p99":9,"max":11}}"#
+    );
+
+    #[test]
+    fn parses_full_health_document() {
+        let h = parse_health(HEALTH).expect("parse");
+        assert_eq!(h.node, 1);
+        assert!(h.leads());
+        assert_eq!(h.leader, Some(1));
+        assert_eq!(h.last_committed_zxid, (1 << 32) | 3);
+        assert_eq!(h.peers[&2], PeerHealth { reachable: true, failed_attempts: 0 });
+        assert_eq!(h.peers[&3], PeerHealth { reachable: false, failed_attempts: 4 });
+        assert_eq!(h.lag.len(), 2);
+        assert_eq!(h.lag[0].lag_txns, Some(0));
+        assert_eq!(h.lag[1].acked_zxid, None);
+        assert!(h.lag[1].syncing);
+        assert_eq!(h.delivery.hash, 0xdead_beef);
+        assert_eq!(h.delivery.checkpoints, vec![((1 << 32) | 64, 0xabc)]);
+        assert_eq!(h.commit_latency_ms.p99, 9);
+        // Rendering the parsed document reproduces the served body.
+        assert_eq!(h.to_json().to_string(), HEALTH);
+    }
+
+    #[test]
+    fn a_fully_populated_document_round_trips() {
+        let h = Health {
+            node: 2,
+            role: "following".to_string(),
+            active: true,
+            epoch: 7,
+            leader: Some(3),
+            last_committed_zxid: (7 << 32) | 1200,
+            peers: BTreeMap::from([
+                (1, PeerHealth { reachable: false, failed_attempts: 9 }),
+                (3, PeerHealth { reachable: true, failed_attempts: 0 }),
+            ]),
+            syncing: vec![SyncingPeer { peer: 1, chunks_remaining: 3, bytes_remaining: 1 << 20 }],
+            lag: vec![
+                LagRow {
+                    peer: 1,
+                    acked_zxid: Some((7 << 32) | 1000),
+                    lag_txns: Some(200),
+                    syncing: true,
+                },
+                LagRow { peer: 3, acked_zxid: None, lag_txns: None, syncing: false },
+            ],
+            delivery: DeliveryWitness {
+                anchor_zxid: (7 << 32) | 1,
+                last_zxid: (7 << 32) | 1200,
+                hash: u64::MAX - 1,
+                checkpoints: vec![((7 << 32) | 1024, 0x0123_4567_89ab_cdef)],
+            },
+            commit_latency_ms: LatencySummary { count: 100, p50: 2, p99: 12, max: 40 },
+        };
+        assert_eq!(parse_health(&h.to_json().to_string()), Ok(h));
+    }
+
+    #[test]
+    fn a_zxid_above_2_pow_53_round_trips_exactly() {
+        // An f64 reader would round this down to 2^53.
+        let h = Health { last_committed_zxid: (1 << 53) + 1, ..Health::default() };
+        let back = parse_health(&h.to_json().to_string()).expect("parse");
+        assert_eq!(back.last_committed_zxid, (1 << 53) + 1);
+    }
+
+    #[test]
+    fn rejects_health_missing_required_fields() {
+        let err = parse_health(r#"{"node":1}"#).unwrap_err();
+        assert!(err.contains("missing"), "err was {err:?}");
+        let mut body = HEALTH.replace(r#","failed_attempts":4"#, "");
+        let err = parse_health(&body).unwrap_err();
+        assert!(err.contains("failed_attempts"), "err was {err:?}");
+        body = HEALTH.replace(r#""syncing":[],"#, "");
+        assert!(parse_health(&body).unwrap_err().contains("syncing"));
+        assert!(parse_health("not json").is_err());
+    }
 
     #[test]
     fn renders_every_row_in_the_served_key_order() {
@@ -225,7 +380,7 @@ mod tests {
             commit_latency_ms: LatencySummary { count: 1, p50: 3, p99: 3, max: 3 },
         };
         assert_eq!(
-            h.to_json(),
+            h.to_json().to_string(),
             concat!(
                 r#"{"node":1,"role":"leading","active":true,"epoch":4,"leader":1,"#,
                 r#""last_committed":"4:9","last_committed_zxid":17179869193,"#,
@@ -244,7 +399,8 @@ mod tests {
 
     #[test]
     fn an_empty_document_renders_nulls_and_empty_rows() {
-        let json = Health { role: "looking".to_string(), ..Health::default() }.to_json();
+        let json =
+            Health { role: "looking".to_string(), ..Health::default() }.to_json().to_string();
         assert!(json.contains(r#""leader":null,"last_committed":"0:0""#), "{json}");
         assert!(json.contains(r#""peers":{},"syncing":[],"lag":[]"#), "{json}");
         assert!(json.contains(r#""hash":"0000000000000000","checkpoints":[]"#), "{json}");

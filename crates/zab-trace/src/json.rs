@@ -1,36 +1,45 @@
-//! Minimal dependency-free JSON parser for re-ingesting admin-endpoint
-//! documents (`/health`, `/trace?format=raw`).
+//! The repository's one JSON implementation. Every document a node or
+//! tool emits (`/health`, `/trace`, `zabctl --json`, the chaos summary)
+//! is built as a [`Json`] value and printed by its `Display`; every
+//! document read back is parsed by [`Json::parse`].
 //!
-//! Scope-matched to what the endpoints emit: objects, arrays, strings
-//! with the standard escapes, numbers, booleans, null. Numbers are held
-//! as `f64` — exact for every integer the endpoints serve below 2⁵³,
-//! which covers packed zxids at any realistic epoch (hashes, the one
-//! truly 64-bit quantity, travel as hex strings for exactly this reason).
+//! Objects keep insertion order, so a document prints its keys in the
+//! order it was built. Numbers keep their literal text: `From<u64>`
+//! writes an integer exactly and [`Json::as_u64`] reads one exactly, so
+//! a zxid above 2⁵³ survives the round trip an `f64` would round.
+//! Strings escape `"` as `\"`, a backslash as `\\`, a newline as `\n`,
+//! and every other control character as `\u00XX`.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The endpoints
 /// nest at most four levels; the cap keeps a hostile `[[[[…` body from
 /// overflowing the stack of the recursive parser.
 const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
-    Num(f64),
+    /// A number, as its literal text.
+    Num(Number),
     /// A string.
-    Str(String),
+    Str(Cow<'static, str>),
     /// An array.
     Arr(Vec<Json>),
-    /// An object (key order normalized).
-    Obj(BTreeMap<String, Json>),
+    /// An object, members in insertion order.
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
+
+/// A JSON number's literal text. Only the parser, `From` on integers
+/// and [`Json::fixed`] make one, so the writer never prints text that is
+/// not a number.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Number(String);
 
 /// Parse failure: a message plus the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +56,6 @@ impl fmt::Display for JsonError {
     }
 }
 
-impl std::error::Error for JsonError {}
-
 impl Json {
     /// Parses one complete JSON document (trailing whitespace allowed).
     pub fn parse(s: &str) -> Result<Json, JsonError> {
@@ -62,20 +69,40 @@ impl Json {
         Ok(v)
     }
 
-    /// Object member by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
+    /// An object with `members` in the given order.
+    pub fn obj<K: Into<Cow<'static, str>>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `v` printed with `decimals` digits after the point; `null` when
+    /// `v` is not finite (JSON has no NaN or infinity).
+    pub fn fixed(v: f64, decimals: usize) -> Json {
+        if v.is_finite() {
+            Json::Num(Number(format!("{v:.decimals$}")))
+        } else {
+            Json::Null
         }
+    }
+
+    /// Object member by key (the first, should a key repeat).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.members()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Member `key` read by `read` (`Json::as_u64`, `Json::as_str`,
+    /// `Some`, ...), or an error naming the key.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.get(key).ok_or_else(|| format!("missing {key:?}"))?;
+        read(v).ok_or_else(|| format!("{key:?} has the wrong type"))
     }
 
     /// Array element by index.
     pub fn idx(&self, i: usize) -> Option<&Json> {
-        match self {
-            Json::Arr(v) => v.get(i),
-            _ => None,
-        }
+        self.items().get(i)
     }
 
     /// The array items, or an empty slice for non-arrays.
@@ -87,7 +114,7 @@ impl Json {
     }
 
     /// The object members, if this is an object.
-    pub fn members(&self) -> Option<&BTreeMap<String, Json>> {
+    pub fn members(&self) -> Option<&[(Cow<'static, str>, Json)]> {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,
@@ -102,18 +129,11 @@ impl Json {
         }
     }
 
-    /// Number as f64.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Non-negative integral number as u64.
+    /// A number written as a non-negative integer that fits a u64,
+    /// read exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(Number(t)) => t.parse().ok(),
             _ => None,
         }
     }
@@ -125,11 +145,117 @@ impl Json {
             _ => None,
         }
     }
+}
 
-    /// True for the `null` literal (distinct from "absent").
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(Number(n.to_string()))
+            }
+        }
+    )*};
+}
+from_integer!(u32, u64, i64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
     }
+}
+
+impl From<&'static str> for Json {
+    fn from(s: &'static str) -> Json {
+        Json::Str(s.into())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s.into())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
+        Json::Arr(items.into_iter().collect())
+    }
+}
+
+/// The one writer: compact, no whitespace, members in order.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Rendered into one buffer first: a document is many short
+        // pieces, and pushing them onto a `String` is far cheaper than
+        // passing each through the formatter.
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
+    }
+}
+
+impl Json {
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(Number(t)) => out.push_str(t),
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    // Unescaped runs go out whole; only the escapes are written apart.
+    let mut start = 0;
+    for (i, c) in s.char_indices() {
+        if c != '"' && c != '\\' && c >= ' ' {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+        }
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 struct Parser<'a> {
@@ -176,7 +302,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into())),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'n') => self.lit("null", Json::Null),
@@ -197,7 +323,7 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.eat(b'{', "expected '{'")?;
-        let mut m = BTreeMap::new();
+        let mut m = Vec::new();
         self.ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
@@ -210,7 +336,7 @@ impl<'a> Parser<'a> {
             self.eat(b':', "expected ':'")?;
             self.ws();
             let v = self.value()?;
-            m.insert(k, v);
+            m.push((k.into(), v));
             self.ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
@@ -307,8 +433,12 @@ impl<'a> Parser<'a> {
         {
             self.i += 1;
         }
+        // The text is kept as written once it reads as a number.
         let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| self.err("bad number"))?;
-        s.parse::<f64>().map(Json::Num).map_err(|_| JsonError { msg: "bad number", at: start })
+        match s.parse::<f64>() {
+            Ok(_) => Ok(Json::Num(Number(s.to_string()))),
+            Err(_) => Err(JsonError { msg: "bad number", at: start }),
+        }
     }
 }
 
@@ -326,7 +456,7 @@ mod tests {
         assert_eq!(j.get("node").and_then(Json::as_u64), Some(1));
         assert_eq!(j.get("role").and_then(Json::as_str), Some("leading"));
         assert_eq!(j.get("active").and_then(Json::as_bool), Some(true));
-        assert!(j.get("leader").is_some_and(Json::is_null));
+        assert_eq!(j.get("leader"), Some(&Json::Null));
         let lag = j.get("lag").expect("lag");
         assert_eq!(
             lag.idx(0).and_then(|e| e.get("acked_zxid")).and_then(Json::as_u64),
@@ -340,7 +470,7 @@ mod tests {
     fn parses_escapes_numbers_and_nesting() {
         let j = Json::parse(r#"{"s":"a\"b\nAç","n":-2.5e2,"a":[1,[2,{}]]}"#).expect("parse");
         assert_eq!(j.get("s").and_then(Json::as_str), Some("a\"b\nAç"));
-        assert_eq!(j.get("n").and_then(Json::as_f64), Some(-250.0));
+        assert_eq!(j.get("n"), Some(&Json::Num(Number("-2.5e2".to_string()))), "number text kept");
         assert_eq!(
             j.get("a").and_then(|a| a.idx(1)).and_then(|a| a.idx(0)).and_then(Json::as_u64),
             Some(2)
@@ -370,6 +500,42 @@ mod tests {
             .expect("parser thread");
         assert!(parsed.0, "nesting at the cap must parse");
         assert_eq!(parsed.1.map_err(|e| e.msg), Err("nesting too deep"));
+    }
+
+    #[test]
+    fn writer_escapes_quotes_backslashes_and_controls() {
+        let s = Json::from("a\"b\\c\nd\te\u{1}");
+        assert_eq!(s.to_string(), r#""a\"b\\c\nd\u0009e\u0001""#);
+        assert_eq!(Json::parse(&s.to_string()), Ok(s));
+    }
+
+    #[test]
+    fn objects_keep_insertion_order_both_ways() {
+        let doc = r#"{"z":1,"a":[true,null,"x"],"m":{"k":-3,"b":1.25}}"#;
+        let j = Json::parse(doc).expect("parse");
+        assert_eq!(j.to_string(), doc);
+        let built = Json::obj([
+            ("z", 1u64.into()),
+            ("a", Json::Arr(Vec::new())),
+            ("b", None::<u64>.into()),
+        ]);
+        assert_eq!(built.to_string(), r#"{"z":1,"a":[],"b":null}"#);
+    }
+
+    #[test]
+    fn integers_round_trip_exactly_above_2_pow_53() {
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let text = Json::from(n).to_string();
+            assert_eq!(text, n.to_string());
+            assert_eq!(Json::parse(&text).expect("parse").as_u64(), Some(n));
+        }
+        assert_eq!(Json::parse("18446744073709551616").expect("parse").as_u64(), None);
+    }
+
+    #[test]
+    fn fixed_prints_decimals_and_null_for_non_finite() {
+        assert_eq!(Json::fixed(345.8561, 3).to_string(), "345.856");
+        assert_eq!(Json::fixed(f64::NAN, 3), Json::Null);
     }
 
     #[test]

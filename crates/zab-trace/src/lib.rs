@@ -45,11 +45,12 @@
 
 pub mod align;
 pub mod health;
+pub mod json;
 
+use json::Json;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use zab_metrics::Clock;
@@ -191,24 +192,6 @@ pub fn parse_zxid(s: &str) -> Option<u64> {
         }
         None => s.parse().ok(),
     }
-}
-
-/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
-/// and every control character.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One event slot, stored as seven relaxed atomics (a [`TraceEvent`]'s
@@ -779,7 +762,7 @@ pub fn stage_deltas(events: &[TraceEvent]) -> Vec<StageDelta> {
 /// numbered track shared across nodes, so one transaction's lifecycle
 /// lines up vertically across the ensemble. Instant events use `ph:"i"`
 /// with thread scope.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
     // Stable lane per zxid, shared across nodes.
     let mut lanes: BTreeMap<u64, u64> = BTreeMap::new();
     for e in events {
@@ -792,102 +775,102 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     nodes.sort_unstable();
     nodes.dedup();
 
-    let mut s = String::with_capacity(events.len() * 96 + 1024);
-    s.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |s: &mut String, item: &str| {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(item);
+    let metadata = |name: &'static str, pid: u64, tid: u64, label: String| {
+        Json::obj([
+            ("name", name.into()),
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("args", Json::obj([("name", label.into())])),
+        ])
     };
+    let mut items = Vec::with_capacity(nodes.len() * (lanes.len() + 2) + events.len());
     for &n in &nodes {
-        push(
-            &mut s,
-            &format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{n},\"tid\":0,\
-                 \"args\":{{\"name\":\"zab node {n}\"}}}}"
-            ),
-        );
-        push(
-            &mut s,
-            &format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{n},\"tid\":0,\
-                 \"args\":{{\"name\":\"storage\"}}}}"
-            ),
-        );
+        items.push(metadata("process_name", n, 0, format!("zab node {n}")));
+        items.push(metadata("thread_name", n, 0, "storage".to_string()));
         for (&zxid, &lane) in &lanes {
-            push(
-                &mut s,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{n},\"tid\":{lane},\
-                     \"args\":{{\"name\":\"zxid {}\"}}}}",
-                    zxid_display(zxid)
-                ),
-            );
+            items.push(metadata("thread_name", n, lane, format!("zxid {}", zxid_display(zxid))));
         }
     }
     for e in events {
-        let mut item = String::with_capacity(128);
-        if e.is_span() {
-            let _ = write!(
-                item,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"zxid_first\":\"{}\",\"zxid_last\":\"{}\"}}}}",
-                e.stage,
-                e.ts_us,
-                e.dur_us,
-                e.node,
-                zxid_display(e.zxid),
-                zxid_display(e.zxid_end)
-            );
+        items.push(if e.is_span() {
+            Json::obj([
+                ("name", e.stage.as_str().into()),
+                ("ph", "X".into()),
+                ("ts", e.ts_us.into()),
+                ("dur", e.dur_us.into()),
+                ("pid", e.node.into()),
+                ("tid", 0u64.into()),
+                (
+                    "args",
+                    Json::obj([
+                        ("zxid_first", zxid_display(e.zxid).into()),
+                        ("zxid_last", zxid_display(e.zxid_end).into()),
+                    ]),
+                ),
+            ])
         } else {
-            let lane = lanes.get(&e.zxid).copied().unwrap_or(0);
-            let _ = write!(
-                item,
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"zxid\":\"{}\"",
-                e.stage,
-                e.ts_us,
-                e.node,
-                lane,
-                zxid_display(e.zxid)
-            );
+            let mut args = vec![("zxid", zxid_display(e.zxid).into())];
             if e.peer != 0 {
-                let _ = write!(item, ",\"peer\":{}", e.peer);
+                args.push(("peer", e.peer.into()));
             }
-            item.push_str("}}");
-        }
-        push(&mut s, &item);
+            Json::obj([
+                ("name", e.stage.as_str().into()),
+                ("ph", "i".into()),
+                ("s", "t".into()),
+                ("ts", e.ts_us.into()),
+                ("pid", e.node.into()),
+                ("tid", lanes.get(&e.zxid).copied().unwrap_or(0).into()),
+                ("args", Json::obj(args)),
+            ])
+        });
     }
-    s.push_str("]}");
-    s
+    Json::obj([("traceEvents", Json::Arr(items))])
 }
 
 /// Renders events as a flat JSON array of objects with the raw
 /// [`TraceEvent`] fields (`ts_us`, `dur_us`, `node`, `zxid`, `zxid_end`,
 /// `stage`, `peer`) — the machine-readable counterpart of
 /// [`chrome_trace_json`], served by the admin endpoint's
-/// `/trace?format=raw` for ensemble tools that re-ingest events (see
-/// `zab-ops`). Stages use their [`Stage::as_str`] names; parse back with
-/// [`Stage::parse`].
-pub fn raw_trace_json(events: &[TraceEvent]) -> String {
-    let mut s = String::with_capacity(events.len() * 96 + 16);
-    s.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"ts_us\":{},\"dur_us\":{},\"node\":{},\"zxid\":{},\"zxid_end\":{},\
-             \"stage\":\"{}\",\"peer\":{}}}",
-            e.ts_us, e.dur_us, e.node, e.zxid, e.zxid_end, e.stage, e.peer
-        );
-    }
-    s.push(']');
-    s
+/// `/trace?format=raw` for ensemble tools that re-ingest events with
+/// [`parse_raw_trace`]. Stages use their [`Stage::as_str`] names.
+pub fn raw_trace_json(events: &[TraceEvent]) -> Json {
+    events
+        .iter()
+        .map(|e| {
+            Json::obj([
+                ("ts_us", e.ts_us.into()),
+                ("dur_us", e.dur_us.into()),
+                ("node", e.node.into()),
+                ("zxid", e.zxid.into()),
+                ("zxid_end", e.zxid_end.into()),
+                ("stage", e.stage.as_str().into()),
+                ("peer", e.peer.into()),
+            ])
+        })
+        .collect()
+}
+
+/// Parses a [`raw_trace_json`] body back into trace events. `dur_us`,
+/// `zxid_end` and `peer` read 0 when absent.
+pub fn parse_raw_trace(body: &str) -> Result<Vec<TraceEvent>, String> {
+    let j = Json::parse(body).map_err(|e| e.to_string())?;
+    let or_zero = |e: &Json, key| e.get(key).and_then(Json::as_u64).unwrap_or(0);
+    j.items()
+        .iter()
+        .map(|e| {
+            let stage = e.field("stage", Json::as_str)?;
+            Ok(TraceEvent {
+                ts_us: e.field("ts_us", Json::as_u64)?,
+                dur_us: or_zero(e, "dur_us"),
+                node: e.field("node", Json::as_u64)?,
+                zxid: e.field("zxid", Json::as_u64)?,
+                zxid_end: or_zero(e, "zxid_end"),
+                stage: Stage::parse(stage).ok_or_else(|| format!("unknown stage {stage:?}"))?,
+                peer: or_zero(e, "peer"),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1049,7 +1032,7 @@ mod tests {
         clock.set_micros(1500);
         t.instant(Stage::AckRx, z, 2);
         t.span(Stage::LogAppend, z, z, 1100, 1300);
-        let json = chrome_trace_json(&rec.snapshot());
+        let json = chrome_trace_json(&rec.snapshot()).to_string();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"process_name\""));
@@ -1062,6 +1045,82 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
+    }
+
+    /// A storage span, an instant with a peer and one without, on two
+    /// nodes: every shape both exporters render.
+    fn golden_events() -> Vec<TraceEvent> {
+        let z = (3u64 << 32) | 7;
+        let event = |ts_us, dur_us, node, zxid_end, stage, peer| TraceEvent {
+            ts_us,
+            dur_us,
+            node,
+            zxid: z,
+            zxid_end,
+            stage,
+            peer,
+        };
+        vec![
+            event(1000, 0, 1, z, Stage::Submit, 0),
+            event(1100, 200, 1, z + 1, Stage::LogAppend, 0),
+            event(1500, 0, 2, z, Stage::WireIn, 1),
+        ]
+    }
+
+    #[test]
+    fn chrome_trace_json_renders_the_golden_document() {
+        assert_eq!(
+            chrome_trace_json(&golden_events()).to_string(),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"zab node 1"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"storage"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"zxid 3:7"}},"#,
+                r#"{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"zab node 2"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":2,"tid":0,"args":{"name":"storage"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"zxid 3:7"}},"#,
+                r#"{"name":"submit","ph":"i","s":"t","ts":1000,"pid":1,"tid":1,"#,
+                r#""args":{"zxid":"3:7"}},"#,
+                r#"{"name":"log-append","ph":"X","ts":1100,"dur":200,"pid":1,"tid":0,"#,
+                r#""args":{"zxid_first":"3:7","zxid_last":"3:8"}},"#,
+                r#"{"name":"wire-in","ph":"i","s":"t","ts":1500,"pid":2,"tid":1,"#,
+                r#""args":{"zxid":"3:7","peer":1}}]}"#
+            )
+        );
+    }
+
+    #[test]
+    fn raw_trace_json_renders_the_golden_document() {
+        assert_eq!(
+            raw_trace_json(&golden_events()).to_string(),
+            concat!(
+                r#"[{"ts_us":1000,"dur_us":0,"node":1,"zxid":12884901895,"#,
+                r#""zxid_end":12884901895,"stage":"submit","peer":0},"#,
+                r#"{"ts_us":1100,"dur_us":200,"node":1,"zxid":12884901895,"#,
+                r#""zxid_end":12884901896,"stage":"log-append","peer":0},"#,
+                r#"{"ts_us":1500,"dur_us":0,"node":2,"zxid":12884901895,"#,
+                r#""zxid_end":12884901895,"stage":"wire-in","peer":1}]"#
+            )
+        );
+    }
+
+    #[test]
+    fn raw_trace_round_trips_through_its_parser() {
+        let mut events = golden_events();
+        // Above 2^53 an f64 reader would round this to 2^53.
+        events[0].ts_us = (1 << 53) + 1;
+        let body = raw_trace_json(&events).to_string();
+        assert_eq!(parse_raw_trace(&body), Ok(events));
+    }
+
+    #[test]
+    fn raw_trace_rejects_unknown_stage() {
+        let err = parse_raw_trace(
+            r#"[{"ts_us":1,"dur_us":0,"node":1,"zxid":2,"zxid_end":0,"stage":"warp","peer":0}]"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("warp"), "err was {err:?}");
+        assert!(parse_raw_trace(r#"[{"stage":"deliver"}]"#).unwrap_err().contains("ts_us"));
     }
 
     #[test]
@@ -1115,11 +1174,5 @@ mod tests {
         // `zxid_end`) belongs to its start zxid only.
         assert!(event(z, 0, 4).covers(z));
         assert!(!event(z, 0, 4).covers(1));
-    }
-
-    #[test]
-    fn json_escape_covers_quotes_backslashes_and_controls() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd\te\u{1}"), "a\\\"b\\\\c\\nd\\u0009e\\u0001");
     }
 }
